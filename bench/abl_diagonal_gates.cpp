@@ -133,13 +133,15 @@ int main(int argc, char** argv) {
   const double speedup_total = r_generic.mean_ms / r_full.mean_ms;
   const double speedup_diag = r_dense.mean_ms / r_base.mean_ms;
   const double speedup_simd = r_base.mean_ms / r_simd.mean_ms;
-  const double speedup_blocking = r_base.mean_ms / r_blocked.mean_ms;
+  // Blocking is measured where it is used: on top of the SIMD bodies. On
+  // the scalar bodies the replay is compute-bound and blocking reads ~1.0x.
+  const double speedup_blocking = r_simd.mean_ms / r_full.mean_ms;
   const double speedup_over_base = r_base.mean_ms / r_full.mean_ms;
   const double drift = std::abs(r_generic.energy - r_full.energy);
   std::printf("\nfull vs generic:                  %.2fx\n", speedup_total);
   std::printf("diagonal kernels (isolated):      %.2fx\n", speedup_diag);
   std::printf("simd (isolated):                  %.2fx\n", speedup_simd);
-  std::printf("blocking (isolated):              %.2fx\n", speedup_blocking);
+  std::printf("blocking (on top of simd):        %.2fx\n", speedup_blocking);
   std::printf("simd+blocking vs PR-1 compiled:   %.2fx\n", speedup_over_base);
   std::printf("zz sweeps/eval: %llu -> %llu (one pass per edge -> one total)\n",
               static_cast<unsigned long long>(r_generic.zz_sweeps_per_eval),

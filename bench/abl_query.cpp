@@ -3,9 +3,7 @@
 // Two comparisons on one QAOA ansatz:
 //
 //   1. AMPLITUDES — a query::AmplitudeProgram compiled once and replayed per
-//      (theta, bits) vs the legacy one-shot path (QTensorSimulator with
-//      compile_programs=false: network rebuilt and order re-planned every
-//      amplitude call). The replay also proves the plan-cache contract: the
+//      (theta, bits). The replay also proves the plan-cache contract: the
 //      second program built on the same shape compiles with ZERO planner
 //      invocations.
 //   2. SAMPLING — query::Sampler on both engines drawing the same seeded
@@ -28,9 +26,9 @@
 #include "qaoa/ansatz.hpp"
 #include "qaoa/hamiltonian.hpp"
 #include "qtensor/backend.hpp"
-#include "qtensor/contraction.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "qtensor/planner.hpp"
+#include "qtensor/program.hpp"
 #include "query/program.hpp"
 #include "query/sampler.hpp"
 
@@ -55,12 +53,12 @@ int main(int argc, char** argv) {
   std::printf("query ablation: %zu qubits, %zu-regular, p=%zu\n\n", n, degree,
               p);
 
-  // -- 1. amplitudes: compiled replay vs the legacy one-shot path -----------
+  // -- 1. amplitudes: compile once, replay per (theta, bits) ----------------
   std::vector<std::vector<int>> queries(amps, std::vector<int>(n));
   for (auto& bits : queries)
     for (int& b : bits) b = rng.bernoulli(0.5) ? 1 : 0;
 
-  query::QueryOptions options;
+  qtensor::ProgramOptions options;
   options.plan_cache = std::make_shared<qtensor::PlanCache>();
   const qtensor::SerialCpuBackend backend;
 
@@ -74,29 +72,22 @@ int main(int argc, char** argv) {
     checksum += program.amplitude(theta, bits, backend);
   const double replay_ms = t_replay.millis();
 
-  qtensor::QTensorOptions legacy_opts;
-  legacy_opts.compile_programs = false;  // rebuild + re-plan every call
-  const qtensor::QTensorSimulator legacy(legacy_opts);
-  Timer t_legacy;
-  qtensor::cplx legacy_checksum{0.0, 0.0};
-  for (const auto& bits : queries)
-    legacy_checksum += legacy.amplitude(ansatz, theta, bits);
-  const double legacy_ms = t_legacy.millis();
-
   // Warm plan cache: the same shape compiles without touching the planner.
   qtensor::reset_planner_invocation_count();
   Timer t_warm;
   const query::AmplitudeProgram warm(ansatz, options);
   const double warm_compile_ms = t_warm.millis();
   const auto warm_plans = qtensor::planner_invocation_count();
+  qtensor::cplx warm_checksum{0.0, 0.0};
+  for (const auto& bits : queries)
+    warm_checksum += warm.amplitude(theta, bits, backend);
 
-  std::printf("%zu amplitudes: compiled %.1f ms (+%.1f ms compile) vs "
-              "one-shot %.1f ms -> %.2fx per call\n",
-              amps, replay_ms, compile_ms, legacy_ms, legacy_ms / replay_ms);
+  std::printf("%zu amplitudes: compiled %.1f ms (+%.1f ms compile)\n", amps,
+              replay_ms, compile_ms);
   std::printf("warm recompile: %.1f ms, %llu planner invocation(s) "
               "(checksum drift %.2e)\n\n",
               warm_compile_ms, static_cast<unsigned long long>(warm_plans),
-              std::abs(checksum - legacy_checksum));
+              std::abs(checksum - warm_checksum));
 
   json::Value amp_section = json::Value::object();
   amp_section.set("qubits", n);
@@ -104,8 +95,6 @@ int main(int argc, char** argv) {
   amp_section.set("amplitudes", amps);
   amp_section.set("compile_ms", compile_ms);
   amp_section.set("compiled_replay_ms", replay_ms);
-  amp_section.set("one_shot_ms", legacy_ms);
-  amp_section.set("per_call_speedup", legacy_ms / replay_ms);
   amp_section.set("warm_compile_ms", warm_compile_ms);
   amp_section.set("warm_planner_invocations",
                   static_cast<std::size_t>(warm_plans));

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/error.hpp"
-#include "query/program.hpp"
 
 namespace qarch::qtensor {
 
@@ -67,67 +66,20 @@ ContractionResult contract(const TensorNetwork& network,
   return result;
 }
 
-OrderingAlgo ordering_from_name(const std::string& name) {
-  if (name == "greedy-degree") return OrderingAlgo::GreedyDegree;
-  if (name == "greedy-fill") return OrderingAlgo::GreedyFill;
-  if (name == "random") return OrderingAlgo::Random;
-  if (name == "random-restart") return OrderingAlgo::RandomRestart;
-  throw InvalidArgument("unknown ordering algorithm: " + name);
-}
-
 QTensorSimulator::QTensorSimulator(QTensorOptions options)
     : options_(std::move(options)),
       backend_(make_backend(options_.backend)) {}
-
-std::vector<VarId> QTensorSimulator::make_order(
-    const TensorNetwork& network) const {
-  switch (options_.ordering) {
-    case OrderingAlgo::GreedyDegree:
-      return order_greedy_degree(network);
-    case OrderingAlgo::GreedyFill:
-      return order_greedy_fill(network);
-    case OrderingAlgo::Random: {
-      Rng rng(options_.ordering_seed);
-      return order_random(network, rng);
-    }
-    case OrderingAlgo::RandomRestart: {
-      Rng rng(options_.ordering_seed);
-      return order_random_restart(network, options_.random_restarts, rng);
-    }
-  }
-  throw InternalError("unhandled ordering algorithm");
-}
 
 double QTensorSimulator::expectation_zz(const circuit::Circuit& circuit,
                                         std::span<const double> theta,
                                         std::size_t u, std::size_t v) const {
   const TensorNetwork net =
       expectation_zz_network(circuit, theta, u, v, options_.network);
-  const ContractionResult r = contract(net, make_order(net), *backend_);
+  const ContractionResult r =
+      contract(net, order_greedy_degree(net), *backend_);
   QARCH_CHECK(std::abs(r.value.imag()) < 1e-8,
               "Hermitian expectation has a large imaginary part");
   return r.value.real();
-}
-
-cplx QTensorSimulator::amplitude(const circuit::Circuit& circuit,
-                                 std::span<const double> theta,
-                                 std::span<const int> bits) const {
-  if (options_.compile_programs) {
-    const query::AmplitudeProgram program(circuit,
-                                          query::query_options(options_));
-    return program.amplitude(theta, bits, *backend_);
-  }
-  const TensorNetwork net =
-      amplitude_network(circuit, theta, bits, options_.network);
-  return contract(net, make_order(net), *backend_).value;
-}
-
-std::size_t QTensorSimulator::zz_width(const circuit::Circuit& circuit,
-                                       std::span<const double> theta,
-                                       std::size_t u, std::size_t v) const {
-  const TensorNetwork net =
-      expectation_zz_network(circuit, theta, u, v, options_.network);
-  return contraction_width(net, make_order(net));
 }
 
 }  // namespace qarch::qtensor

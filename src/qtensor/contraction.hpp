@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/rng.hpp"
 #include "qtensor/backend.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/ordering.hpp"
@@ -30,46 +29,25 @@ ContractionResult contract(const TensorNetwork& network,
                            const std::vector<VarId>& order,
                            const Backend& backend);
 
-/// Ordering heuristic selector.
-enum class OrderingAlgo { GreedyDegree, GreedyFill, Random, RandomRestart };
-
-/// Parses "greedy-degree", "greedy-fill", "random", "random-restart".
-OrderingAlgo ordering_from_name(const std::string& name);
-
 /// Configuration for the QTensor simulator facade AND the qtensor energy
 /// engine selected through qaoa::EnergyOptions (engine=TensorNetwork).
 struct QTensorOptions {
-  NetworkOptions network;                       ///< diagonal/lightcone opts
-  /// Ordering heuristic of the NON-compiled paths (the one-shot facade and
-  /// compile_programs=false energy plans). The compiled path ignores this
-  /// and lets `planner` compete every enabled heuristic instead.
-  OrderingAlgo ordering = OrderingAlgo::GreedyDegree;
-  std::size_t random_restarts = 16;             ///< for RandomRestart
-  std::uint64_t ordering_seed = 7;              ///< for Random/RandomRestart
-  std::string backend = "serial";               ///< make_backend spec
-  /// Compile per-edge ContractionPrograms inside qaoa energy plans — the
-  /// qtensor analogue of EnergyOptions::sv_compile_plan. false restores the
-  /// legacy rebuild-per-theta path (network rebuilt and strides recomputed
-  /// every energy(theta) call, per-edge orders still cached).
-  bool compile_programs = true;
-  PlannerOptions planner;        ///< heuristics competing at program compile
-  /// Compile-time slicing decision of the compiled path: slice when the
-  /// planned width exceeds this (0 disables; see ProgramOptions).
+  NetworkOptions network;          ///< diagonal/lightcone opts
+  std::string backend = "serial";  ///< make_backend spec
+  PlannerOptions planner;          ///< heuristics competing at program compile
+  /// Compile-time slicing decision: slice when the planned width exceeds
+  /// this (0 disables; see ProgramOptions).
   std::size_t slice_above_width = 30;
   std::size_t max_slice_vars = 4;
-  /// Group Hamiltonian terms by canonical lightcone shape and compile ONE
-  /// program per equivalence class (exact isomorphism verified) instead of
-  /// one per edge; the shared value is broadcast to every member edge.
-  bool dedup_shapes = true;
   /// Shared store of planned orders, consulted before every program compile
   /// and fed by every live plan. Injected by search::EvalService (which
   /// also persists it when SessionConfig::plan_cache_path is set); null
   /// disables plan reuse across programs.
   std::shared_ptr<PlanCache> plan_cache;
 
-  /// The ProgramOptions a compiled path derives from these fields — the ONE
-  /// reconciliation point, so new program knobs cannot silently diverge
-  /// from the energy-plan wiring.
+  /// The ProgramOptions every compiled program (energy plans and queries)
+  /// derives from these fields — the ONE reconciliation point, so new
+  /// program knobs cannot silently diverge between callers.
   [[nodiscard]] ProgramOptions program_options() const {
     ProgramOptions po;
     po.network = network;
@@ -81,7 +59,9 @@ struct QTensorOptions {
   }
 };
 
-/// High-level tensor-network simulator: the C++ stand-in for QTensor.
+/// Uncompiled reference simulator: every call builds the network and
+/// contracts it along a greedy-degree order. Tests and the replan-per-call
+/// leg of abl_plan_reuse compare the compiled programs against it.
 ///
 /// Thread-safe for concurrent calls (each call builds its own network and
 /// contraction state; the backend is stateless).
@@ -95,28 +75,7 @@ class QTensorSimulator {
                                       std::span<const double> theta,
                                       std::size_t u, std::size_t v) const;
 
-  /// Amplitude <bits| U |+>^n. When compile_programs is set (the default)
-  /// this routes through query::AmplitudeProgram — planned via the shared
-  /// planner and plan cache, so repeated calls on the same circuit
-  /// structure never replan; callers replaying many (theta, bits) pairs
-  /// should hold an AmplitudeProgram directly and skip the per-call
-  /// compile. compile_programs=false keeps the legacy one-shot path.
-  [[nodiscard]] cplx amplitude(const circuit::Circuit& circuit,
-                               std::span<const double> theta,
-                               std::span<const int> bits) const;
-
-  /// Contraction width the configured ordering achieves on the <ZZ> network
-  /// (diagnostic; used by the ordering ablation).
-  [[nodiscard]] std::size_t zz_width(const circuit::Circuit& circuit,
-                                     std::span<const double> theta,
-                                     std::size_t u, std::size_t v) const;
-
-  [[nodiscard]] const QTensorOptions& options() const { return options_; }
-
  private:
-  [[nodiscard]] std::vector<VarId> make_order(
-      const TensorNetwork& network) const;
-
   QTensorOptions options_;
   std::shared_ptr<const Backend> backend_;
 };

@@ -240,24 +240,6 @@ TensorNetwork expectation_zz_network(const circuit::Circuit& circuit,
   return b.take();
 }
 
-TensorNetwork amplitude_network(const circuit::Circuit& circuit,
-                                std::span<const double> theta,
-                                std::span<const int> bits,
-                                const NetworkOptions& options,
-                                std::vector<GateBinding>* bindings) {
-  QARCH_REQUIRE(bits.size() == circuit.num_qubits(),
-                "amplitude: bit string length mismatch");
-  g_network_build_count.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::size_t> qubits(circuit.num_qubits());
-  for (std::size_t q = 0; q < qubits.size(); ++q) qubits[q] = q;
-
-  NetworkBuilder b(qubits, options.diagonal_optimization, bindings);
-  for (std::size_t q : qubits) b.add_plus_cap(q);
-  for (const Gate& g : circuit.gates()) b.add_gate(g, theta);
-  for (std::size_t q : qubits) b.add_basis_cap(q, bits[q]);
-  return b.take();
-}
-
 TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
                                     std::span<const double> theta,
                                     std::size_t q,

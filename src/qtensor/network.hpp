@@ -23,8 +23,8 @@
 
 namespace qarch::qtensor {
 
-/// Number of tensor networks built (expectation_zz_network +
-/// amplitude_network calls) since the last reset. Thread-safe. The compiled
+/// Number of tensor networks built (every network builder below counts)
+/// since the last reset. Thread-safe. The compiled
 /// contraction plans (qtensor::ContractionProgram) build each network once
 /// and rebind tensors afterwards; benches and tests use this probe to prove
 /// that training runs and multistart restarts never rebuild — the qtensor
@@ -91,13 +91,6 @@ TensorNetwork expectation_zz_network(const circuit::Circuit& circuit,
                                      std::vector<GateBinding>* bindings =
                                          nullptr);
 
-/// Network for the amplitude <bits| U |+>^n (bits[q] in {0,1}).
-TensorNetwork amplitude_network(const circuit::Circuit& circuit,
-                                std::span<const double> theta,
-                                std::span<const int> bits,
-                                const NetworkOptions& options = {},
-                                std::vector<GateBinding>* bindings = nullptr);
-
 /// Network for <+|^n U† Z_q U |+>^n — the single-qubit analogue of
 /// expectation_zz_network, used by Hamiltonians with Z field terms.
 TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
@@ -109,7 +102,7 @@ TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
 
 // -- open-index query networks ------------------------------------------------
 //
-// The compiled query programs (src/query/) need networks where some output
+// The query layers (src/query/) need networks where some output
 // wires stay OPEN (batched amplitudes, marginals, per-qubit sampling steps)
 // and where basis choices are RE-BINDABLE per replay the way gate parameters
 // already are. Both builders below return the network together with its
@@ -119,8 +112,8 @@ TensorNetwork expectation_z_network(const circuit::Circuit& circuit,
 /// rank-1 tensor whose data is [bit==0, bit==1] — a <bit| cap in an
 /// amplitude network, a diagonal |bit><bit| projector at the observable
 /// point of a measurement network (both have the same data layout, so one
-/// rebind kernel serves both). Compiled query programs rewrite these two
-/// entries per replay instead of rebuilding the network.
+/// rebind kernel serves both). Compiled programs rewrite these two entries
+/// per replay instead of rebuilding the network.
 struct CapBinding {
   std::size_t tensor_index = 0;  ///< index into TensorNetwork::tensors
   std::size_t qubit = 0;
@@ -129,8 +122,9 @@ struct CapBinding {
 /// Writes the cap/projector data for `bit` into out[0..1].
 void cap_tensor_data(int bit, std::span<cplx> out);
 
-/// A network with rebind points and open output variables, as the compiled
-/// query programs consume it.
+/// A network with rebind points and open output variables, as
+/// ContractionProgram consumes it (closed expectations have no caps and no
+/// open labels).
 struct QueryNetwork {
   TensorNetwork net;
   std::vector<GateBinding> bindings;  ///< theta-rebindable gate tensors

@@ -18,7 +18,7 @@ struct Sampler::Impl {
   // Tensor-network engine: steps[k] opens qubit n-1-k, fixes qubits above
   // it, traces qubits below it.
   std::unique_ptr<qtensor::Backend> backend;
-  std::vector<std::unique_ptr<QueryProgram>> steps;
+  std::vector<std::unique_ptr<qtensor::ContractionProgram>> steps;
 
   /// |psi> for the statevector engine, reusing one per-thread buffer across
   /// calls (same idiom as qaoa's StatevectorPlan).
@@ -72,9 +72,11 @@ Sampler::Sampler(const circuit::Circuit& ansatz, const SamplerOptions& options)
         ansatz, std::vector<double>(ansatz.num_params(), 0.0), roles,
         options.query.network);
     std::vector<qtensor::VarId> final_labels = network.open_labels;
-    impl_->steps.push_back(std::make_unique<QueryProgram>(
+    qtensor::ProgramOptions po = options.query;
+    po.shape_key = "q:chain" + std::to_string(q);
+    impl_->steps.push_back(std::make_unique<qtensor::ContractionProgram>(
         std::move(network), std::move(final_labels), ansatz.num_params(),
-        options.query, "q:chain" + std::to_string(q)));
+        po));
   }
 }
 
@@ -84,8 +86,8 @@ std::size_t Sampler::num_qubits() const { return impl_->n; }
 
 SamplerEngine Sampler::engine() const { return impl_->options.engine; }
 
-std::vector<QueryStats> Sampler::step_stats() const {
-  std::vector<QueryStats> stats;
+std::vector<qtensor::ProgramStats> Sampler::step_stats() const {
+  std::vector<qtensor::ProgramStats> stats;
   stats.reserve(impl_->steps.size());
   for (const auto& s : impl_->steps) stats.push_back(s->stats());
   return stats;

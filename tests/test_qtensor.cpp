@@ -13,6 +13,7 @@
 #include "qtensor/network.hpp"
 #include "qtensor/ordering.hpp"
 #include "qtensor/tensor.hpp"
+#include "query/program.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -127,10 +128,28 @@ circuit::Circuit random_circuit(std::size_t n, std::size_t gates, Rng& rng) {
   return c;
 }
 
+/// Elimination-order heuristics the uncompiled contractor is checked under.
+enum class Order { GreedyDegree, GreedyFill, Random, RandomRestart };
+
+std::vector<VarId> make_order(Order order, const qtensor::TensorNetwork& net) {
+  Rng rng(7);
+  switch (order) {
+    case Order::GreedyDegree:
+      return qtensor::order_greedy_degree(net);
+    case Order::GreedyFill:
+      return qtensor::order_greedy_fill(net);
+    case Order::Random:
+      return qtensor::order_random(net, rng);
+    case Order::RandomRestart:
+      return qtensor::order_random_restart(net, 16, rng);
+  }
+  return {};
+}
+
 struct EquivCase {
   bool diagonal_opt;
   bool lightcone;
-  qtensor::OrderingAlgo ordering;
+  Order ordering;
 };
 
 class NetworkEquivalence : public ::testing::TestWithParam<EquivCase> {};
@@ -149,13 +168,15 @@ TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
     const sim::State state = sv.run_from_plus(c, {});
     const double expected = sim::expectation_zz(state, u, v);
 
-    qtensor::QTensorOptions opt;
-    opt.network.diagonal_optimization = param.diagonal_opt;
-    opt.network.lightcone = param.lightcone;
-    opt.ordering = param.ordering;
-    const qtensor::QTensorSimulator qt(opt);
-    const double got = qt.expectation_zz(c, {}, u, v);
-    EXPECT_NEAR(got, expected, 1e-9)
+    qtensor::NetworkOptions opt;
+    opt.diagonal_optimization = param.diagonal_opt;
+    opt.lightcone = param.lightcone;
+    const auto net = qtensor::expectation_zz_network(c, {}, u, v, opt);
+    const qtensor::SerialCpuBackend backend;
+    const cplx value =
+        qtensor::contract(net, make_order(param.ordering, net), backend).value;
+    EXPECT_NEAR(value.imag(), 0.0, 1e-9);
+    EXPECT_NEAR(value.real(), expected, 1e-9)
         << "trial " << trial << " n=" << n << " u=" << u << " v=" << v;
   }
 }
@@ -163,18 +184,18 @@ TEST_P(NetworkEquivalence, ZZExpectationMatchesStatevector) {
 INSTANTIATE_TEST_SUITE_P(
     AllOptimizationModes, NetworkEquivalence,
     ::testing::Values(
-        EquivCase{true, true, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{true, false, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{false, true, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{false, false, qtensor::OrderingAlgo::GreedyDegree},
-        EquivCase{true, true, qtensor::OrderingAlgo::GreedyFill},
-        EquivCase{true, true, qtensor::OrderingAlgo::Random},
-        EquivCase{true, true, qtensor::OrderingAlgo::RandomRestart}));
+        EquivCase{true, true, Order::GreedyDegree},
+        EquivCase{true, false, Order::GreedyDegree},
+        EquivCase{false, true, Order::GreedyDegree},
+        EquivCase{false, false, Order::GreedyDegree},
+        EquivCase{true, true, Order::GreedyFill},
+        EquivCase{true, true, Order::Random},
+        EquivCase{true, true, Order::RandomRestart}));
 
 TEST(NetworkEquivalenceAmplitude, MatchesStatevector) {
   Rng rng(7);
   const sim::StatevectorSimulator sv;
-  const qtensor::QTensorSimulator qt;
+  const qtensor::SerialCpuBackend backend;
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 2 + rng.uniform_int(3);
     const circuit::Circuit c = random_circuit(n, 10, rng);
@@ -185,7 +206,8 @@ TEST(NetworkEquivalenceAmplitude, MatchesStatevector) {
       bits[q] = rng.bernoulli(0.5) ? 1 : 0;
       idx |= static_cast<std::size_t>(bits[q]) << q;
     }
-    const cplx amp = qt.amplitude(c, {}, bits);
+    const query::AmplitudeProgram program(c);
+    const cplx amp = program.amplitude({}, bits, backend);
     EXPECT_NEAR(amp.real(), state[idx].real(), 1e-9);
     EXPECT_NEAR(amp.imag(), state[idx].imag(), 1e-9);
   }

@@ -20,6 +20,7 @@
 #include "qtensor/contraction.hpp"
 #include "qtensor/network.hpp"
 #include "qtensor/program.hpp"
+#include "qtensor/slicing.hpp"
 #include "search/evaluator.hpp"
 
 namespace {
@@ -145,6 +146,42 @@ TEST(ContractionProgram, SlicedScheduleMatchesUnsliced) {
   }
 }
 
+TEST(ContractionProgram, OpenLabelsAreNeverSliced) {
+  // Variable 0 touches more variables than any other, so greedy max-degree
+  // slicing would pick it first; as the open label it must stay an output
+  // axis, and each output entry must equal the closed network with 0 fixed.
+  Rng rng(37);
+  auto random_tensor = [&](std::vector<VarId> labels) {
+    std::vector<cplx> data(std::size_t{1} << labels.size());
+    for (auto& x : data) x = cplx{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    return Tensor(std::move(labels), std::move(data));
+  };
+  qtensor::QueryNetwork network;
+  network.net.tensors = {random_tensor({0, 1}), random_tensor({0, 2}),
+                         random_tensor({0, 3}), random_tensor({1, 2})};
+  network.net.num_vars = 4;
+  network.open_labels = {0};
+  const qtensor::TensorNetwork closed = network.net;
+
+  qtensor::ProgramOptions sliced;
+  sliced.slice_above_width = 1;  // force the slicing decision
+  sliced.max_slice_vars = 2;
+  const qtensor::ContractionProgram program(network, {0}, 0, sliced);
+  EXPECT_GE(program.stats().slice_vars, 1u);
+  EXPECT_EQ(program.stats().open_labels, 1u);
+
+  const qtensor::SerialCpuBackend backend;
+  std::vector<cplx> out(2);
+  program.run({}, {}, backend, out);
+  for (std::size_t b = 0; b < 2; ++b) {
+    const auto fixed = qtensor::project_network(closed, {0}, b);
+    const cplx expect =
+        qtensor::contract(fixed, qtensor::order_greedy_degree(fixed), backend)
+            .value;
+    EXPECT_LT(std::abs(out[b] - expect), 1e-12) << "open value " << b;
+  }
+}
+
 TEST(ContractionProgram, StatsReflectCompilation) {
   Rng rng(3);
   const auto g = graph::random_regular(8, 3, rng);
@@ -197,7 +234,7 @@ TEST(Backend, ProductIntoMatchesProduct) {
 
 // ---------------------------------------------------------------------------
 // Randomized statevector-vs-qtensor ENERGY equivalence across mixers, graph
-// families, and p — compiled and legacy tensor-network paths.
+// families, and p.
 // ---------------------------------------------------------------------------
 
 struct EnergyCase {
@@ -224,19 +261,13 @@ TEST_P(EnergyEquivalence, AllEnginesAgreeAcrossGraphFamiliesAndDepth) {
       sv.engine = qaoa::EngineKind::Statevector;
       qaoa::EnergyOptions tn_compiled;
       tn_compiled.engine = qaoa::EngineKind::TensorNetwork;
-      qaoa::EnergyOptions tn_legacy = tn_compiled;
-      tn_legacy.qtensor.compile_programs = false;
 
       const qaoa::EnergyEvaluator ev_sv(g, sv);
       const qaoa::EnergyEvaluator ev_c(g, tn_compiled);
-      const qaoa::EnergyEvaluator ev_l(g, tn_legacy);
 
       const double e_sv = ev_sv.energy(ansatz, theta);
       const double e_c = ev_c.energy(ansatz, theta);
-      const double e_l = ev_l.energy(ansatz, theta);
       EXPECT_NEAR(e_c, e_sv, 1e-8)
-          << GetParam().name << " n=" << g.num_vertices() << " p=" << p;
-      EXPECT_NEAR(e_l, e_sv, 1e-8)
           << GetParam().name << " n=" << g.num_vertices() << " p=" << p;
 
       // Per-term expectations must agree index-by-index too.
@@ -346,7 +377,7 @@ TEST(ShapeDedup, RegularGraphSharesPrograms) {
   EXPECT_GE(info.compiled_programs, 1u);
 }
 
-TEST(ShapeDedup, DedupOffCompilesPerEdgeAndAgrees) {
+TEST(ShapeDedup, DedupMatchesOneProgramPerEdge) {
   Rng rng(89);
   const auto g = graph::random_regular(8, 3, rng);
   const auto ansatz = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::qnas());
@@ -354,24 +385,21 @@ TEST(ShapeDedup, DedupOffCompilesPerEdgeAndAgrees) {
 
   qaoa::EnergyOptions on;
   on.engine = qaoa::EngineKind::TensorNetwork;
-  qaoa::EnergyOptions off = on;
-  off.qtensor.dedup_shapes = false;
-
   const qaoa::EnergyEvaluator ev_on(g, on);
-  const qaoa::EnergyEvaluator ev_off(g, off);
   const auto plan_on = ev_on.plan_for(ansatz);
-  const auto plan_off = ev_off.plan_for(ansatz);
 
-  // The ablation path compiles one program per edge; dedup compiles one per
-  // shape class. Both evaluate to the same energy and per-term values.
-  EXPECT_EQ(plan_off->info().compiled_programs, g.num_edges());
+  // Dedup compiles one program per shape class; broadcasting its value
+  // must reproduce one directly built program per edge, term by term.
   EXPECT_LE(plan_on->info().compiled_programs, g.num_edges());
-  EXPECT_NEAR(plan_on->energy(theta), plan_off->energy(theta), 1e-9);
+  const qtensor::SerialCpuBackend backend;
   const auto zz_on = plan_on->zz_expectations(theta);
-  const auto zz_off = plan_off->zz_expectations(theta);
-  ASSERT_EQ(zz_on.size(), zz_off.size());
-  for (std::size_t k = 0; k < zz_on.size(); ++k)
-    EXPECT_NEAR(zz_on[k], zz_off[k], 1e-9) << "term " << k;
+  ASSERT_EQ(zz_on.size(), g.num_edges());
+  for (std::size_t k = 0; k < zz_on.size(); ++k) {
+    const auto& e = g.edges()[k];
+    const qtensor::ContractionProgram per_edge(ansatz, e.u, e.v);
+    EXPECT_NEAR(zz_on[k], per_edge.expectation_zz(theta, backend), 1e-9)
+        << "term " << k;
+  }
 }
 
 TEST(PlanReuse, MultistartRestartsShareOneCompilation) {

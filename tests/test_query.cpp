@@ -1,8 +1,8 @@
 // The compiled query subsystem (src/query): amplitude programs vs the
-// statevector and the legacy one-shot qtensor path, batched amplitude
-// slices, reduced-density-matrix marginals, direct tensor-network sampling
-// (determinism per seed, agreement in distribution with the statevector
-// engine), and the shared-plan-cache warm-replay probe.
+// statevector, batched amplitude slices, reduced-density-matrix marginals
+// (sliced and unsliced), direct tensor-network sampling (determinism per
+// seed, agreement in distribution with the statevector engine), the
+// compile-time width ceiling, and the shared-plan-cache warm-replay probe.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/extra_generators.hpp"
 #include "graph/generators.hpp"
@@ -20,6 +21,7 @@
 #include "qtensor/contraction.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "qtensor/planner.hpp"
+#include "qtensor/program.hpp"
 #include "query/program.hpp"
 #include "query/sampler.hpp"
 #include "sim/statevector.hpp"
@@ -59,17 +61,54 @@ std::vector<Instance> test_instances(Rng& rng) {
   return out;
 }
 
+/// Reference reduced density matrix of `targets` from the full state:
+/// ref[r * 2^k + c] with bit j of r and c being the value of targets[j].
+std::vector<cplx> reference_rdm(const sim::State& psi, std::size_t n,
+                                const std::vector<std::size_t>& targets) {
+  const std::size_t k = targets.size();
+  const std::size_t dim = std::size_t{1} << k;
+  std::vector<cplx> ref(dim * dim, cplx{0.0, 0.0});
+  auto embed = [&](std::size_t rest, std::size_t t) {
+    // `rest` enumerates the non-target qubits (ascending), `t` the targets.
+    std::size_t basis = 0, ri = 0;
+    for (std::size_t q = 0; q < n; ++q) {
+      bool is_target = false;
+      for (std::size_t j = 0; j < k; ++j)
+        if (targets[j] == q) {
+          basis |= ((t >> j) & 1U) << q;
+          is_target = true;
+        }
+      if (!is_target) {
+        basis |= ((rest >> ri) & 1U) << q;
+        ++ri;
+      }
+    }
+    return basis;
+  };
+  for (std::size_t rest = 0; rest < (std::size_t{1} << (n - k)); ++rest)
+    for (std::size_t r = 0; r < dim; ++r)
+      for (std::size_t c = 0; c < dim; ++c)
+        ref[r * dim + c] +=
+            psi[embed(rest, r)] * std::conj(psi[embed(rest, c)]);
+  return ref;
+}
+
+/// Forces the compile-time slicing decision on any query network.
+qtensor::ProgramOptions sliced_options() {
+  qtensor::ProgramOptions options;
+  options.slice_above_width = 2;
+  options.max_slice_vars = 3;
+  return options;
+}
+
 // ---------------------------------------------------------------------------
-// Amplitudes: compiled program vs statevector vs the legacy one-shot path.
+// Amplitudes: compiled program vs the statevector oracle.
 // ---------------------------------------------------------------------------
 
-TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
+TEST(AmplitudeProgram, MatchesStatevector) {
   Rng rng(101);
   const sim::StatevectorSimulator sv;
   const qtensor::SerialCpuBackend backend;
-  qtensor::QTensorOptions legacy_opts;
-  legacy_opts.compile_programs = false;  // the pre-query rebuild-per-call path
-  const qtensor::QTensorSimulator legacy(legacy_opts);
 
   for (Instance& inst : test_instances(rng)) {
     const circuit::Circuit ansatz =
@@ -83,11 +122,8 @@ TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
         const std::size_t basis = rng.uniform_int(std::size_t{1} << n);
         const std::vector<int> bits = bits_of(basis, n);
         const cplx compiled = program.amplitude(theta, bits, backend);
-        const cplx one_shot = legacy.amplitude(ansatz, theta, bits);
         EXPECT_NEAR(compiled.real(), psi[basis].real(), 1e-8);
         EXPECT_NEAR(compiled.imag(), psi[basis].imag(), 1e-8);
-        EXPECT_NEAR(compiled.real(), one_shot.real(), 1e-8);
-        EXPECT_NEAR(compiled.imag(), one_shot.imag(), 1e-8);
       }
     }
   }
@@ -127,6 +163,35 @@ TEST(BatchedAmplitudeProgram, SlicesMatchSingleAmplitudes) {
   }
 }
 
+TEST(BatchedAmplitudeProgram, SlicedMatchesStatevector) {
+  Rng rng(212);
+  const sim::StatevectorSimulator sv;
+  const qtensor::SerialCpuBackend backend;
+  const graph::Graph g = graph::random_regular(6, 3, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+  const std::size_t n = g.num_vertices();
+
+  const std::vector<std::size_t> open = {0, 2, 5};
+  const query::BatchedAmplitudeProgram batched(ansatz, open, sliced_options());
+  EXPECT_GE(batched.stats().slice_vars, 1U);
+  EXPECT_EQ(batched.stats().open_labels, open.size());
+
+  const auto theta = random_theta(ansatz.num_params(), rng);
+  const sim::State psi = sv.run_from_plus(ansatz, theta);
+  const std::vector<int> fixed = {1, 0, 1};  // qubits 1, 3, 4
+  const std::vector<cplx> batch = batched.amplitudes(theta, fixed, backend);
+  ASSERT_EQ(batch.size(), 8U);
+  for (std::size_t idx = 0; idx < batch.size(); ++idx) {
+    std::size_t basis = (1U << 1) | (1U << 4);
+    for (std::size_t j = 0; j < open.size(); ++j)
+      basis |= ((idx >> j) & 1U) << open[j];
+    ASSERT_LT(basis, std::size_t{1} << n);
+    EXPECT_NEAR(batch[idx].real(), psi[basis].real(), 1e-9) << idx;
+    EXPECT_NEAR(batch[idx].imag(), psi[basis].imag(), 1e-9) << idx;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Marginals: RDM vs the statevector partial trace.
 // ---------------------------------------------------------------------------
@@ -151,29 +216,7 @@ TEST(MarginalProgram, MatchesStatevectorPartialTrace) {
 
   // Reference partial trace from the full state.
   const sim::State psi = sv.run_from_plus(ansatz, theta);
-  std::vector<cplx> ref(dim * dim, cplx{0.0, 0.0});
-  auto embed = [&](std::size_t rest, std::size_t t) {
-    // `rest` enumerates the non-target qubits (ascending), `t` the targets.
-    std::size_t basis = 0, ri = 0;
-    for (std::size_t q = 0; q < n; ++q) {
-      bool is_target = false;
-      for (std::size_t j = 0; j < k; ++j)
-        if (targets[j] == q) {
-          basis |= ((t >> j) & 1U) << q;
-          is_target = true;
-        }
-      if (!is_target) {
-        basis |= ((rest >> ri) & 1U) << q;
-        ++ri;
-      }
-    }
-    return basis;
-  };
-  for (std::size_t rest = 0; rest < (std::size_t{1} << (n - k)); ++rest)
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c)
-        ref[r * dim + c] +=
-            psi[embed(rest, r)] * std::conj(psi[embed(rest, c)]);
+  const std::vector<cplx> ref = reference_rdm(psi, n, targets);
 
   double trace = 0.0;
   for (std::size_t r = 0; r < dim; ++r) {
@@ -197,6 +240,61 @@ TEST(MarginalProgram, MatchesStatevectorPartialTrace) {
     total += probs[r];
   }
   EXPECT_NEAR(total, 1.0, 1e-8);
+}
+
+TEST(MarginalProgram, SlicedMatchesStatevector) {
+  Rng rng(313);
+  const sim::StatevectorSimulator sv;
+  const qtensor::SerialCpuBackend backend;
+  const graph::Graph g = graph::erdos_renyi_connected(6, 0.5, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx,ry"));
+
+  const std::vector<std::size_t> targets = {1, 4};
+  const query::MarginalProgram program(ansatz, targets, sliced_options());
+  EXPECT_GE(program.stats().slice_vars, 1U);
+  EXPECT_EQ(program.stats().open_labels, 2 * targets.size());
+
+  const auto theta = random_theta(ansatz.num_params(), rng);
+  const std::vector<cplx> rdm = program.rdm(theta, backend);
+  const std::vector<cplx> ref = reference_rdm(
+      sv.run_from_plus(ansatz, theta), g.num_vertices(), targets);
+  ASSERT_EQ(rdm.size(), ref.size());
+  for (std::size_t i = 0; i < rdm.size(); ++i) {
+    EXPECT_NEAR(rdm[i].real(), ref[i].real(), 1e-9) << i;
+    EXPECT_NEAR(rdm[i].imag(), ref[i].imag(), 1e-9) << i;
+  }
+}
+
+TEST(MarginalProgram, RejectsUnsortedTargets) {
+  // Outputs index bit j as targets[j], which the network's ascending-qubit
+  // label order only honours for sorted targets.
+  circuit::Circuit c(3);  // prepared from |+++>
+  c.h(0);
+  c.x(0);  // q0 = |1>
+  c.h(2);  // q2 = |0>
+  const std::vector<std::size_t> sorted = {0, 2};
+  const query::MarginalProgram program(c, sorted);
+  const qtensor::SerialCpuBackend backend;
+  const std::vector<double> probs = program.probabilities({}, backend);
+  EXPECT_NEAR(probs[1], 1.0, 1e-12);  // q0 = 1, q2 = 0
+
+  const std::vector<std::size_t> unsorted = {2, 0};
+  EXPECT_THROW(query::MarginalProgram(c, unsorted), qarch::Error);
+  const std::vector<std::size_t> duplicate = {1, 1};
+  EXPECT_THROW(query::MarginalProgram(c, duplicate), qarch::Error);
+}
+
+TEST(MarginalProgram, RejectsOpenLabelsAboveWidthCeiling) {
+  // 16 cut wires leave 32 open labels: no slicing can bring that under the
+  // ceiling, so the compile fails before any 2^32-entry buffer exists.
+  const graph::Graph g = graph::cycle(16);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::parse("rx"));
+  std::vector<std::size_t> targets(16);
+  for (std::size_t q = 0; q < targets.size(); ++q) targets[q] = q;
+  ASSERT_GT(2 * targets.size(), qtensor::ContractionProgram::kMaxWidth);
+  EXPECT_THROW(query::MarginalProgram(ansatz, targets), qarch::Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,13 +394,13 @@ TEST(Sampler, EnginesAgreeInDistribution) {
 // invocations (the acceptance probe of the compiled-query pipeline).
 // ---------------------------------------------------------------------------
 
-TEST(QueryPrograms, WarmPlanCacheCompilesWithoutPlanner) {
+TEST(QueryPlanCache, WarmCompilesWithoutPlanner) {
   Rng rng(707);
   const graph::Graph g = graph::random_regular(6, 3, rng);
   const circuit::Circuit ansatz =
       qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx"));
 
-  query::QueryOptions options;
+  qtensor::ProgramOptions options;
   options.plan_cache = std::make_shared<qtensor::PlanCache>();
 
   // Cold: compiling plans at least once.
