@@ -1,6 +1,6 @@
 // Ablation: the shared evaluation service vs the old per-driver loops.
 //
-// Eight sections, all on one graph + candidate cohort:
+// Nine sections, all on one graph + candidate cohort:
 //   1. Parity + compile-once probe: two concurrent SearchEngine clients
 //      share one EvalService; their best candidate must match the old-style
 //      private loop (one Evaluator, serial sweep) bit for bit, while
@@ -27,6 +27,10 @@
 //      batch flood — FIFO vs fair-share vs fair-share + a 2 ms preemption
 //      quantum (running batch evaluations park at a safe point instead of
 //      holding a worker for their whole training run).
+//   9. Durable completions: per-completion persist time and bytes written by
+//      a cache_path + checkpoint_path service over a result store preloaded
+//      with 100 / 1k / 10k entries — flat, since each completion appends
+//      one journal record instead of rewriting the store.
 //
 // Results land in BENCH_eval_service.json (section "eval_service").
 //
@@ -34,12 +38,16 @@
 //        --workers W (4) --max-clients C (4) --out PATH
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "bench_util.hpp"
 #include "common/timer.hpp"
 #include "qtensor/planner.hpp"
 #include "search/eval_service.hpp"
+#include "search/report_io.hpp"
+#include "search/store.hpp"
 #include "sim/sim_program.hpp"
 
 using namespace qarch;
@@ -477,6 +485,112 @@ int main(int argc, char** argv) {
     preemption.set("interactive_p99_speedup_vs_fifo",
                    fifo_p99 / std::max(1e-9, preempt_p99));
     section.set("preemption", std::move(preemption));
+  }
+
+  // -- 9. durable completions: persist cost vs store size -------------------
+  {
+    // A durable service (cache_path + checkpoint_path) over a result store
+    // preloaded with N synthetic entries runs the cohort one candidate at a
+    // time. Per completion: the time from the end of the evaluation to the
+    // ticket resolving (the service persists the result before resolving
+    // it; a store-less service gives the bookkeeping baseline) and the
+    // bytes the process wrote (/proc/self/io wchar). Both should stay flat
+    // from 100 to 10k entries: one journal record + one fdatasync each.
+    const std::string cache_file = out + ".durable.json";
+    const std::string ckpt_file = out + ".durable_ckpt.json";
+    const auto remove_store = [](const std::string& path) {
+      std::remove(path.c_str());
+      std::remove(search::journal_path(path).c_str());
+    };
+    const auto bytes_written = [] {
+      std::ifstream in("/proc/self/io");
+      std::string key;
+      std::uint64_t value = 0;
+      while (in >> key >> value)
+        if (key == "wchar:") return value;
+      return std::uint64_t{0};
+    };
+    const std::size_t completions = std::min<std::size_t>(cohort.size(), 20);
+    // Resolution latency after each evaluation, median over the cohort.
+    const auto resolve_ms = [&](const SessionConfig& cfg,
+                                std::uint64_t* bytes) {
+      search::EvalService service(cfg);
+      std::vector<double> after_eval;
+      const std::uint64_t bytes0 = bytes_written();
+      for (std::size_t i = 0; i < completions; ++i) {
+        auto ticket = service.submit(g, cohort[i], p);
+        const auto& r = ticket.wait();
+        after_eval.push_back(ticket.finished_at() - ticket.submitted_at() -
+                             r.queue_seconds - r.eval_seconds);
+      }
+      if (bytes != nullptr) *bytes = bytes_written() - bytes0;
+      std::sort(after_eval.begin(), after_eval.end());
+      return after_eval[after_eval.size() / 2] * 1e3;
+    };
+    SessionConfig plain = session;
+    plain.workers = 1;
+    const double baseline_ms = resolve_ms(plain, nullptr);
+    // The code version the service writes under, read back from an empty
+    // store it saved, so the synthetic preload loads like its own entries.
+    remove_store(cache_file);
+    {
+      SessionConfig probe = plain;
+      probe.cache_path = cache_file;
+      (void)search::EvalService(probe).save_cache();
+    }
+    std::string version;
+    {
+      std::ifstream in(cache_file);
+      std::stringstream text;
+      text << in.rdbuf();
+      version = json::parse(text.str()).at("code_version").as_string();
+    }
+    json::Value durable = json::Value::object();
+    durable.set("completions", completions);
+    durable.set("baseline_resolve_ms", baseline_ms);
+    std::printf("\ndurable completions (persist before resolve, %zu per "
+                "store size; store-less baseline %.3f ms):\n",
+                completions, baseline_ms);
+    double persist_100 = 0.0, persist_10k = 0.0;
+    for (const std::size_t preload : {100, 1000, 10000}) {
+      remove_store(cache_file);
+      remove_store(ckpt_file);
+      std::vector<search::CacheEntry> entries;
+      for (std::size_t i = 0; i < preload; ++i) {
+        search::CacheEntry e;
+        e.graph_fp = "preload-" + std::to_string(i);
+        e.training_evals = evals;
+        e.engine = "sv";
+        e.result.mixer = cohort[i % cohort.size()];
+        e.result.p = p;
+        e.result.energy = -1.0 - 1e-3 * static_cast<double>(i);
+        e.result.theta = {0.1, 0.2};
+        e.result.evaluations = evals;
+        entries.push_back(std::move(e));
+      }
+      search::save_result_cache(entries, cache_file, version);
+      SessionConfig cfg = plain;
+      cfg.cache_path = cache_file;
+      cfg.checkpoint_path = ckpt_file;
+      cfg.result_cache = preload + completions + 64;
+      std::uint64_t bytes = 0;
+      const double persist_ms = resolve_ms(cfg, &bytes) - baseline_ms;
+      const double per_completion =
+          static_cast<double>(bytes) / static_cast<double>(completions);
+      std::printf("  %5zu entries: %.3f ms, %.0f B written per completion\n",
+                  preload, persist_ms, per_completion);
+      json::Value leg = json::Value::object();
+      leg.set("persist_ms", persist_ms);
+      leg.set("bytes_per_completion", per_completion);
+      durable.set("preload_" + std::to_string(preload), std::move(leg));
+      if (preload == 100) persist_100 = persist_ms;
+      if (preload == 10000) persist_10k = persist_ms;
+    }
+    durable.set("persist_ratio_10k_vs_100",
+                persist_10k / std::max(1e-9, persist_100));
+    section.set("durable_completion", std::move(durable));
+    remove_store(cache_file);
+    remove_store(ckpt_file);
   }
 
   bench::update_bench_json(out, "eval_service", std::move(section));

@@ -18,8 +18,21 @@ std::optional<CachedPlan> PlanCache::find(const std::string& shape_key,
 }
 
 void PlanCache::insert(CachedPlan plan) {
+  std::string key = map_key(plan.shape_key, plan.structure_hash);
   LockGuard lock(mutex_);
-  plans_[map_key(plan.shape_key, plan.structure_hash)] = std::move(plan);
+  plans_[key] = std::move(plan);
+  unsaved_.push_back(std::move(key));
+}
+
+std::vector<CachedPlan> PlanCache::take_unsaved() {
+  std::vector<CachedPlan> out;
+  LockGuard lock(mutex_);
+  std::sort(unsaved_.begin(), unsaved_.end());
+  unsaved_.erase(std::unique(unsaved_.begin(), unsaved_.end()), unsaved_.end());
+  out.reserve(unsaved_.size());
+  for (const std::string& key : unsaved_) out.push_back(plans_.at(key));
+  unsaved_.clear();
+  return out;
 }
 
 void PlanCache::merge(std::vector<CachedPlan> plans) {

@@ -6,9 +6,10 @@
 //
 //   * within a process, every evaluator and every candidate circuit with
 //     the same lightcone shape reuses one planned order, and
-//   * across processes, orders persist to disk (search::save_plan_cache /
-//     load_plan_cache use the result cache's atomic tmp+rename discipline)
-//     and a warm run plans NOTHING (planner_invocation_count() stays 0).
+//   * across processes, orders persist to disk (the evaluation service
+//     journals each new plan and compacts the store like its result cache,
+//     see search/store.hpp) and a warm run plans NOTHING
+//     (planner_invocation_count() stays 0).
 //
 // Reusing an order is always SOUND: an elimination order is valid for any
 // network with the same label structure regardless of tensor data, and the
@@ -54,6 +55,11 @@ class PlanCache {
   /// state).
   void merge(std::vector<CachedPlan> plans);
 
+  /// Plans stored by insert() since the last call, each key once (merge()d
+  /// plans came from disk and are never returned). Lets a persistent owner
+  /// journal every new plan exactly once.
+  [[nodiscard]] std::vector<CachedPlan> take_unsaved();
+
   /// All entries, sorted by key for deterministic persistence.
   [[nodiscard]] std::vector<CachedPlan> snapshot() const;
 
@@ -64,6 +70,7 @@ class PlanCache {
                              std::uint64_t structure_hash);
   mutable Mutex mutex_{52, "cache.orders"};
   std::unordered_map<std::string, CachedPlan> plans_ QARCH_GUARDED_BY(mutex_);
+  std::vector<std::string> unsaved_ QARCH_GUARDED_BY(mutex_);  ///< map keys
 };
 
 }  // namespace qarch::qtensor

@@ -342,6 +342,28 @@ Tensor& ContractionProgram::rebind_target(Scratch& s,
              : s.full[static_cast<std::size_t>(it - sliced_inputs_.begin())];
 }
 
+void ContractionProgram::project_slice(const Tensor& full,
+                                       std::size_t assignment,
+                                       cplx* out) const {
+  // Label k of a rank-r tensor is index bit r-1-k. The entries whose slice
+  // bits equal the assignment, in index order, are exactly what projecting
+  // out each slice variable in turn (slicing.hpp's project) leaves.
+  const std::vector<VarId>& labels = full.labels();
+  std::size_t mask = 0, want = 0;
+  for (std::size_t k = 0; k < slice_vars_.size(); ++k) {
+    const auto it = std::find(labels.begin(), labels.end(), slice_vars_[k]);
+    if (it == labels.end()) continue;
+    const std::size_t bit = std::size_t{1}
+                            << (labels.size() - 1 -
+                                static_cast<std::size_t>(it - labels.begin()));
+    mask |= bit;
+    if ((assignment >> k) & 1) want |= bit;
+  }
+  const std::vector<cplx>& data = full.data();
+  for (std::size_t i = 0; i < data.size(); ++i)
+    if ((i & mask) == want) *out++ = data[i];
+}
+
 void ContractionProgram::run_schedule(Scratch& s, const Backend& backend,
                                       cplx* out) const {
   for (const Step& st : steps_) {
@@ -404,16 +426,15 @@ void ContractionProgram::run(std::span<const double> theta,
     return;
   }
 
-  // Sliced: the 2^s projected sub-contractions add up to the result.
+  // Sliced: the 2^s projected sub-contractions add up to the result. Each
+  // slice-carrying input is projected straight into its slot, which
+  // init_scratch shaped to the projected layout, so a sliced replay
+  // allocates nothing once its lease is initialized.
   const std::size_t num_slices = std::size_t{1} << slice_vars_.size();
   for (std::size_t assignment = 0; assignment < num_slices; ++assignment) {
-    for (std::size_t j = 0; j < sliced_inputs_.size(); ++j) {
-      Tensor projected = s.full[j];
-      for (std::size_t k = 0; k < slice_vars_.size(); ++k)
-        projected = project(projected, slice_vars_[k],
-                            static_cast<int>((assignment >> k) & 1));
-      s.slots[sliced_inputs_[j]].data() = std::move(projected.data());
-    }
+    for (std::size_t j = 0; j < sliced_inputs_.size(); ++j)
+      project_slice(s.full[j], assignment,
+                    s.slots[sliced_inputs_[j]].data().data());
     if (assignment == 0) {
       run_schedule(s, backend, out.data());
       continue;

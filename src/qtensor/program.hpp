@@ -162,6 +162,10 @@ class ContractionProgram {
   [[nodiscard]] Tensor& rebind_target(Scratch& s,
                                       std::size_t tensor_index) const;
   void run_schedule(Scratch& s, const Backend& backend, cplx* out) const;
+  /// Writes `full` with every slice variable fixed by `assignment` (bit k =
+  /// slice_vars_[k]) into `out`, in the projected layout.
+  void project_slice(const Tensor& full, std::size_t assignment,
+                     cplx* out) const;
   [[nodiscard]] ScratchLease lease() const;
 
   ProgramOptions options_;

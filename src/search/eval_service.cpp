@@ -8,6 +8,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -19,6 +20,7 @@
 #include "optim/optimizer.hpp"
 #include "search/fault.hpp"
 #include "search/report_io.hpp"
+#include "search/store.hpp"
 
 namespace qarch::search {
 
@@ -124,10 +126,17 @@ struct ServiceState {
   /// drain() in progress or finished: dispatch stops (pop_next refuses),
   /// running slices park at their next safe point, retries turn terminal.
   std::atomic<bool> draining{false};
-  /// Serializes checkpoint/cache file writes so a slower older snapshot can
-  /// never overwrite a newer one. Taken BEFORE `mutex` (writers snapshot
-  /// under `mutex` while holding this); never taken while holding `mutex`.
+  /// Serializes store appends and compactions so a slower older snapshot
+  /// can never overwrite a newer one. Taken BEFORE `mutex` (compactions
+  /// snapshot under `mutex` while holding this); never taken while holding
+  /// `mutex`.
   Mutex io_mutex{20, "service.io"};
+  /// The persistent stores this service writes (store.hpp), one per
+  /// configured path; null = not written (no path, or cache_write off for
+  /// the shared result/plan caches — checkpoints are this process's own).
+  std::unique_ptr<RecordLog> result_log QARCH_GUARDED_BY(io_mutex);
+  std::unique_ptr<RecordLog> plan_log QARCH_GUARDED_BY(io_mutex);
+  std::unique_ptr<RecordLog> checkpoint_log QARCH_GUARDED_BY(io_mutex);
 
   // Shared store of planned contraction orders, injected into every
   // evaluator this service builds (all tensor-network programs of all
@@ -358,15 +367,6 @@ std::string spec_suffix(const qaoa::ObjectiveSpec& objective,
                                              : hamiltonian.tag());
 }
 
-/// Identity of a persisted entry: the result key (with spec suffix) plus the
-/// engine that produced it (one candidate may have an sv and a tn twin on
-/// disk).
-std::string cache_identity(const CacheEntry& e) {
-  return result_key(e.graph_fp, e.result.mixer, e.result.p,
-                    e.training_evals) +
-         tag_suffix(e.objective, e.hamiltonian) + '\x1f' + e.engine;
-}
-
 /// Adds (or refreshes) one entry in the to-be-persisted overflow set:
 /// entries the in-memory cache cannot hold but the next rewrite must keep.
 /// Deduplicated by identity so eviction churn cannot grow it. Requires
@@ -508,29 +508,6 @@ TrainingCheckpoint checkpoint_record(const EvalJob& job,
   return ck;
 }
 
-/// Atomically rewrites config.checkpoint_path with the current in-flight
-/// checkpoint set (no-op without a path). Best-effort: a write failure is
-/// logged, not thrown — the in-memory checkpoint still resumes within this
-/// process. io_mutex serializes writers so an older snapshot can never land
-/// on top of a newer one.
-void persist_checkpoints(ServiceState& state)
-    QARCH_EXCLUDES(state.io_mutex, state.mutex) {
-  if (state.config.checkpoint_path.empty()) return;
-  LockGuard io(state.io_mutex);
-  std::vector<TrainingCheckpoint> entries;
-  {
-    LockGuard lock(state.mutex);
-    entries.reserve(state.checkpoints.size());
-    for (const auto& [key, ck] : state.checkpoints) entries.push_back(ck);
-  }
-  try {
-    save_checkpoints(entries, state.config.checkpoint_path,
-                     kCheckpointCodeVersion);
-  } catch (const std::exception& e) {
-    log::warn("checkpoints not persisted: ", e.what());
-  }
-}
-
 /// Deficit-weighted round robin over the client queues: each visit grants
 /// the queue weight × quantum budget units (quantum = the widest head job
 /// currently queued, so every rotation lets someone dispatch); a queue keeps
@@ -640,47 +617,157 @@ void finish_expired(ServiceState& state,
   job->cv.notify_all();
 }
 
-/// Snapshot-and-write of the plan and result caches: the body of
-/// EvalService::save_cache, shared with the completion-time durability flush
-/// in run_job. io_mutex serializes writers (see persist_checkpoints).
-std::size_t persist_caches(ServiceState& state)
+/// The persistable form of a cached result.
+CacheEntry cache_entry(const ServiceState::CachedResult& cached) {
+  CacheEntry e;
+  e.graph_fp = cached.graph_fp;
+  e.training_evals = cached.training_evals;
+  e.engine = cached.engine;
+  e.objective = cached.objective;
+  e.hamiltonian = cached.hamiltonian;
+  e.result = cached.result;
+  e.result.from_cache = false;  // provenance is per-submission, not disk
+  return e;
+}
+
+// Compactions: each rewrites one store's snapshot from memory merged with
+// what is on disk (memory wins), under a fresh generation, and drops the
+// journal. No-ops for stores this service does not write.
+
+/// Returns the number of result entries written.
+std::size_t compact_results(ServiceState& state)
+    QARCH_REQUIRES(state.io_mutex) QARCH_EXCLUDES(state.mutex) {
+  if (!state.result_log) return 0;
+  std::size_t written = 0;
+  state.result_log->compact([&](const StoreImage& disk) {
+    std::vector<CacheEntry> entries;
+    std::unordered_set<std::string> seen;
+    {
+      LockGuard lock(state.mutex);
+      entries.reserve(state.done_order.size() + state.foreign_entries.size());
+      // done_order is most-recently-used first; persist in that order so a
+      // smaller result_cache on reload keeps the hottest entries.
+      for (const auto& [key, cached] : state.done_order) {
+        entries.push_back(cache_entry(cached));
+        seen.insert(cache_identity(entries.back()));
+      }
+      // Re-persist what this service could not hold itself — other-backend
+      // entries, over-capacity leftovers, LRU evictions (deduplicated on
+      // insert). An identity done_order also holds means the candidate was
+      // freshly re-evaluated after its eviction: the new result shadows the
+      // stale stash.
+      for (const CacheEntry& e : state.foreign_entries)
+        if (seen.insert(cache_identity(e)).second) entries.push_back(e);
+    }
+    // Whatever else is on disk — another process's records on a shared
+    // path — stays.
+    for (CacheEntry& e : result_cache_from_image(disk, kCacheCodeVersion))
+      if (seen.insert(cache_identity(e)).second)
+        entries.push_back(std::move(e));
+    written = entries.size();
+    return result_cache_to_json(entries, kCacheCodeVersion);
+  });
+  return written;
+}
+
+void compact_plans(ServiceState& state) QARCH_REQUIRES(state.io_mutex) {
+  if (!state.plan_log) return;
+  state.plan_log->compact([&](const StoreImage& disk) {
+    (void)state.plan_cache->take_unsaved();  // the snapshot below holds them
+    state.plan_cache->merge(plan_cache_from_image(disk, kPlanCacheCodeVersion));
+    return plan_cache_to_json(state.plan_cache->snapshot(),
+                              kPlanCacheCodeVersion);
+  });
+}
+
+/// The checkpoint store belongs to one process: memory already holds
+/// everything loaded from disk, minus what completed since.
+void compact_checkpoints(ServiceState& state)
+    QARCH_REQUIRES(state.io_mutex) QARCH_EXCLUDES(state.mutex) {
+  if (!state.checkpoint_log) return;
+  state.checkpoint_log->compact([&](const StoreImage&) {
+    std::vector<TrainingCheckpoint> entries;
+    {
+      LockGuard lock(state.mutex);
+      entries.reserve(state.checkpoints.size());
+      for (const auto& [key, ck] : state.checkpoints) entries.push_back(ck);
+    }
+    return checkpoints_to_json(entries, kCheckpointCodeVersion);
+  });
+}
+
+/// Compacts every store this service writes: the body of save_cache(),
+/// drain() and the destructor. Checkpoints are best-effort (a failure is
+/// logged; the in-memory checkpoint still resumes within this process);
+/// cache failures throw. Returns the number of result entries written.
+std::size_t compact_stores(ServiceState& state)
     QARCH_EXCLUDES(state.io_mutex, state.mutex) {
   LockGuard io(state.io_mutex);
-  // Plan cache first: cheap, and useful even when result persistence is off.
-  if (!state.config.plan_cache_path.empty())
-    save_plan_cache(state.plan_cache->snapshot(), state.config.plan_cache_path,
-                    kPlanCacheCodeVersion);
-  if (state.config.cache_path.empty() || state.config.result_cache == 0)
-    return 0;
-  std::vector<CacheEntry> entries;
-  {
-    LockGuard lock(state.mutex);
-    entries.reserve(state.done_order.size() + state.foreign_entries.size());
-    std::set<std::string> seen;
-    // done_order is most-recently-used first; persist in that order so a
-    // smaller result_cache on reload keeps the hottest entries.
-    for (const auto& [key, cached] : state.done_order) {
-      CacheEntry e;
-      e.graph_fp = cached.graph_fp;
-      e.training_evals = cached.training_evals;
-      e.engine = cached.engine;
-      e.objective = cached.objective;
-      e.hamiltonian = cached.hamiltonian;
-      e.result = cached.result;
-      e.result.from_cache = false;  // provenance is per-submission, not disk
-      seen.insert(cache_identity(e));
-      entries.push_back(std::move(e));
-    }
-    // Re-persist what this service could not hold itself — other-backend
-    // entries, over-capacity leftovers, LRU evictions (deduplicated on
-    // insert). An identity done_order also holds means the candidate was
-    // freshly re-evaluated after its eviction: the new result shadows the
-    // stale stash.
-    for (const CacheEntry& e : state.foreign_entries)
-      if (seen.insert(cache_identity(e)).second) entries.push_back(e);
+  try {
+    compact_checkpoints(state);
+  } catch (const std::exception& e) {
+    log::warn("checkpoints not persisted: ", e.what());
   }
-  save_result_cache(entries, state.config.cache_path, kCacheCodeVersion);
-  return entries.size();
+  compact_plans(state);
+  return compact_results(state);
+}
+
+enum class Store { Results, Plans, Checkpoints };
+
+void compact_store(ServiceState& state, Store store)
+    QARCH_REQUIRES(state.io_mutex) QARCH_EXCLUDES(state.mutex) {
+  if (store == Store::Results)
+    (void)compact_results(state);
+  else if (store == Store::Plans)
+    compact_plans(state);
+  else
+    compact_checkpoints(state);
+}
+
+/// Appends one event's records to a store: compacts first when the
+/// snapshot has no generation to extend yet, and afterwards once the
+/// journal outgrew its snapshot (which keeps appends amortized O(1)).
+void append_records(ServiceState& state, Store store,
+                    const std::vector<json::Value>& records)
+    QARCH_REQUIRES(state.io_mutex) QARCH_EXCLUDES(state.mutex) {
+  RecordLog& log = store == Store::Results ? *state.result_log
+                   : store == Store::Plans ? *state.plan_log
+                                           : *state.checkpoint_log;
+  if (!log.append(records)) {
+    compact_store(state, store);
+    log.append(records);
+  }
+  if (log.oversized()) compact_store(state, store);
+}
+
+/// Journals one service event in durability mode (checkpoint_path set): a
+/// completed result, a checkpoint put or erase, and every plan planned
+/// since the last event — each store's records in one append + one
+/// fdatasync. Best-effort: a failure is logged, the in-memory state still
+/// serves this process.
+void journal_event(ServiceState& state, const CacheEntry* result,
+                   const TrainingCheckpoint* checkpoint, bool erase)
+    QARCH_EXCLUDES(state.io_mutex, state.mutex) {
+  if (state.config.checkpoint_path.empty()) return;
+  LockGuard io(state.io_mutex);
+  try {
+    if (state.plan_log) {
+      std::vector<json::Value> records;
+      for (const qtensor::CachedPlan& plan : state.plan_cache->take_unsaved())
+        records.push_back(plan_record(plan, kPlanCacheCodeVersion));
+      if (!records.empty()) append_records(state, Store::Plans, records);
+    }
+    if (result != nullptr && state.result_log)
+      append_records(state, Store::Results,
+                     {result_record(*result, kCacheCodeVersion)});
+    if (checkpoint != nullptr && state.checkpoint_log)
+      append_records(
+          state, Store::Checkpoints,
+          {erase ? checkpoint_erase_record(*checkpoint, kCheckpointCodeVersion)
+                 : checkpoint_put_record(*checkpoint, kCheckpointCodeVersion)});
+  } catch (const std::exception& e) {
+    log::warn("store append failed: ", e.what());
+  }
 }
 
 /// Cheap submit-time probe for the cache_refresh_seconds satellite: true
@@ -850,16 +937,17 @@ void run_job(const std::shared_ptr<ServiceState>& state,
       }
       if (token->reason() == JobToken::Reason::Checkpoint) {
         // Cadence snapshot: bank the state and keep running on this worker.
+        TrainingCheckpoint banked;
         {
           LockGuard lock(state->mutex);
           job->checkpoint = training;
           job->checkpoint_engine = engine_name;
           job->evals_done = slice.evaluations_done;
           if (!state->config.checkpoint_path.empty())
-            state->checkpoints[job->key] =
+            state->checkpoints[job->key] = banked =
                 checkpoint_record(*job, engine_name, training);
         }
-        persist_checkpoints(*state);
+        journal_event(*state, nullptr, &banked, false);
         FaultInjector::instance().at_point("checkpoint");
         continue;
       }
@@ -882,6 +970,7 @@ void run_job(const std::shared_ptr<ServiceState>& state,
       // Park: snapshot, requeue (or resolve Cancelled under shutdown), free
       // this worker for whoever the scheduler prefers.
       bool cancelled = false;
+      TrainingCheckpoint banked;
       {
         LockGuard jlock(job->mutex);
         if (state->stopping.load()) {
@@ -901,7 +990,7 @@ void run_job(const std::shared_ptr<ServiceState>& state,
         job->evals_done = slice.evaluations_done;
         job->run_seconds += state->now() - slice_start;
         if (!state->config.checkpoint_path.empty())
-          state->checkpoints[job->key] =
+          state->checkpoints[job->key] = banked =
               checkpoint_record(*job, engine_name, training);
         if (!cancelled) {
           ++state->stats.parked;
@@ -921,11 +1010,12 @@ void run_job(const std::shared_ptr<ServiceState>& state,
         }
       }
       if (cancelled) {
+        journal_event(*state, nullptr, &banked, false);
         finish_cancelled(*state, job);
       } else {
         state->sched_cv.notify_all();
         state->drain_cv.notify_all();
-        persist_checkpoints(*state);
+        journal_event(*state, nullptr, &banked, false);
         FaultInjector::instance().at_point("park");
       }
       return;
@@ -938,76 +1028,52 @@ void run_job(const std::shared_ptr<ServiceState>& state,
   const double slice_seconds = state->now() - slice_start;
   bool retry = false;
   double backoff = 0.0;
+  // A completion's result-cache entry, and the job's banked checkpoint that
+  // its resolution drops.
+  std::optional<ServiceState::CachedResult> cached;
+  std::optional<TrainingCheckpoint> dropped;
   {
     LockGuard lock(state->mutex);
     state->running.erase(job.get());
     job->token.reset();
     job->run_seconds += slice_seconds;
-    if (failed) {
-      if (!state->stopping.load() && !state->draining.load() &&
-          job->attempts < job->max_retries) {
-        // Bounded retry with exponential backoff. The checkpoint (if any)
-        // survives, so the retry resumes instead of restarting; the job
-        // stays in `inflight` so duplicates keep attaching to it.
-        backoff = job->retry_backoff * std::ldexp(1.0, job->attempts);
-        ++job->attempts;
-        ++state->stats.retried;
-        retry = true;
-      } else {
+    if (failed && !state->stopping.load() && !state->draining.load() &&
+        job->attempts < job->max_retries) {
+      // Bounded retry with exponential backoff. The checkpoint (if any)
+      // survives, so the retry resumes instead of restarting; the job
+      // stays in `inflight` so duplicates keep attaching to it.
+      backoff = job->retry_backoff * std::ldexp(1.0, job->attempts);
+      ++job->attempts;
+      ++state->stats.retried;
+      retry = true;
+    } else {
+      if (const auto it = state->checkpoints.find(job->key);
+          it != state->checkpoints.end()) {
+        dropped = std::move(it->second);
+        state->checkpoints.erase(it);
+      }
+      if (failed) {
         ++state->stats.failed;
         state->inflight.erase(job->key);
-        state->checkpoints.erase(job->key);
-      }
-    } else {
-      ++state->stats.completed;
-      if (engine == qaoa::EngineKind::Statevector)
-        ++state->stats.picked_statevector;
-      else
-        ++state->stats.picked_tensornetwork;
-      result.queue_seconds = job->started_at - job->submitted_at;
-      result.eval_seconds = job->run_seconds;
-      state->inflight.erase(job->key);
-      state->checkpoints.erase(job->key);
-      job->checkpoint.clear();
-      if (state->config.result_cache > 0) {
-        ServiceState::CachedResult cached;
-        cached.result = result;
-        cached.graph_fp = job->graph_key;
-        cached.training_evals = job->training_evals;
-        cached.engine =
-            engine == qaoa::EngineKind::Statevector ? "sv" : "tn";
-        if (!job->objective.is_default())
-          cached.objective = job->objective.tag();
-        if (!job->hamiltonian.is_default())
-          cached.hamiltonian = job->hamiltonian.tag();
-        state->done_order.emplace_front(job->key, std::move(cached));
-        state->done_by_key[job->key] = state->done_order.begin();
-        while (state->done_order.size() > state->config.result_cache) {
-          // When a rewrite is coming, LRU-evicted results stay eligible for
-          // persistence (dropping them would erase warm starts from the
-          // shared cache file); without one, hoarding them would just grow
-          // memory past the LRU bound for nothing. The stash itself is
-          // bounded (foreign_floor + result_cache): a run that churns far
-          // past its capacity sheds the excess instead of growing without
-          // limit, though refreshing an already-stashed identity is always
-          // allowed (it replaces in place).
-          ServiceState::CachedResult& old = state->done_order.back().second;
-          if (!state->config.cache_path.empty() &&
-              state->config.cache_write) {
-            CacheEntry evicted;  // moving is fine: `old` is dropped below
-            evicted.graph_fp = std::move(old.graph_fp);
-            evicted.training_evals = old.training_evals;
-            evicted.engine = std::move(old.engine);
-            evicted.objective = std::move(old.objective);
-            evicted.hamiltonian = std::move(old.hamiltonian);
-            evicted.result = std::move(old.result);
-            if (state->foreign_entries.size() <
-                    state->foreign_floor + state->config.result_cache ||
-                state->foreign_by_identity.count(cache_identity(evicted)) > 0)
-              stash_foreign(*state, std::move(evicted));
-          }
-          state->done_by_key.erase(state->done_order.back().first);
-          state->done_order.pop_back();
+      } else {
+        ++state->stats.completed;
+        if (engine == qaoa::EngineKind::Statevector)
+          ++state->stats.picked_statevector;
+        else
+          ++state->stats.picked_tensornetwork;
+        result.queue_seconds = job->started_at - job->submitted_at;
+        result.eval_seconds = job->run_seconds;
+        job->checkpoint.clear();
+        if (state->config.result_cache > 0) {
+          cached.emplace();
+          cached->result = result;
+          cached->graph_fp = job->graph_key;
+          cached->training_evals = job->training_evals;
+          cached->engine = engine_name;
+          if (!job->objective.is_default())
+            cached->objective = job->objective.tag();
+          if (!job->hamiltonian.is_default())
+            cached->hamiltonian = job->hamiltonian.tag();
         }
       }
     }
@@ -1025,6 +1091,48 @@ void run_job(const std::shared_ptr<ServiceState>& state,
     state->sched_cv.notify_all();
     return;
   }
+  // Persist before resolve: in durability mode the result (and the erase of
+  // the job's checkpoint) is on disk before any submitter can see it — the
+  // job stays in `inflight` until now, so a concurrent duplicate attaches
+  // and waits — and a crash after a ticket resolved never loses it.
+  const std::optional<CacheEntry> durable =
+      cached ? std::optional<CacheEntry>(cache_entry(*cached)) : std::nullopt;
+  journal_event(*state, durable ? &*durable : nullptr,
+                dropped ? &*dropped : nullptr, true);
+  if (!failed) {
+    LockGuard lock(state->mutex);
+    state->inflight.erase(job->key);
+    if (cached) {
+      state->done_order.emplace_front(job->key, std::move(*cached));
+      state->done_by_key[job->key] = state->done_order.begin();
+      while (state->done_order.size() > state->config.result_cache) {
+        // When a compaction is coming, LRU-evicted results stay eligible
+        // for persistence (dropping them would erase warm starts from the
+        // shared cache file); without one, hoarding them would just grow
+        // memory past the LRU bound for nothing. The stash itself is
+        // bounded (foreign_floor + result_cache): a run that churns far
+        // past its capacity sheds the excess instead of growing without
+        // limit, though refreshing an already-stashed identity is always
+        // allowed (it replaces in place).
+        ServiceState::CachedResult& old = state->done_order.back().second;
+        if (!state->config.cache_path.empty() && state->config.cache_write) {
+          CacheEntry evicted;  // moving is fine: `old` is dropped below
+          evicted.graph_fp = std::move(old.graph_fp);
+          evicted.training_evals = old.training_evals;
+          evicted.engine = std::move(old.engine);
+          evicted.objective = std::move(old.objective);
+          evicted.hamiltonian = std::move(old.hamiltonian);
+          evicted.result = std::move(old.result);
+          if (state->foreign_entries.size() <
+                  state->foreign_floor + state->config.result_cache ||
+              state->foreign_by_identity.count(cache_identity(evicted)) > 0)
+            stash_foreign(*state, std::move(evicted));
+        }
+        state->done_by_key.erase(state->done_order.back().first);
+        state->done_order.pop_back();
+      }
+    }
+  }
   {
     LockGuard lock(job->mutex);
     job->finished_at = state->now();
@@ -1038,21 +1146,6 @@ void run_job(const std::shared_ptr<ServiceState>& state,
   }
   job->cv.notify_all();
   state->drain_cv.notify_all();
-  if (!state->config.checkpoint_path.empty()) {
-    // Durability mode: drop the resolved job's checkpoint record from disk
-    // and flush completed results as they finish, so a crash loses at most
-    // the slice since the last checkpoint — never a finished evaluation.
-    persist_checkpoints(*state);
-    if (!failed && state->config.cache_write &&
-        !state->config.cache_path.empty() &&
-        state->config.result_cache > 0) {
-      try {
-        persist_caches(*state);
-      } catch (const std::exception& e) {
-        log::warn("result-cache flush failed: ", e.what());
-      }
-    }
-  }
 }
 
 /// Drainer body executed by the pool. One drainer is enqueued per published
@@ -1204,6 +1297,10 @@ bool EvalTicket::cancel() {
   bool withdrew_job = false;
   {
     LockGuard lock(job->mutex);
+    // A concurrent cancel of a copy of this handle may have won while this
+    // one waited for the lock — and the job may have started since. Both
+    // calls must then report the cancellation that happened.
+    if (handle_->abandoned.load()) return true;
     if (job->status == detail::EvalJob::Status::Running ||
         job->status == detail::EvalJob::Status::Done ||
         job->status == detail::EvalJob::Status::Failed ||
@@ -1267,14 +1364,25 @@ EvalService::EvalService(SessionConfig config)
     fallback.name = "default";
     fallback.weight = 1.0;
   }
+  // Each store loads through the RecordLog that later writes it, so its
+  // first append knows the snapshot generation it extends. Loading never
+  // compacts. result_cache == 0 never loads the result file (nothing to
+  // merge back), so it must not write it either: that would truncate a
+  // shared cache to nothing. cache_write = false keeps the shared caches
+  // read-only; checkpoints are this process's own in-flight state and
+  // persist regardless.
+  const bool write = state_->config.cache_write;
   if (!state_->config.cache_path.empty() && state_->config.result_cache > 0) {
-    const auto entries =
-        load_result_cache(state_->config.cache_path,
-                          detail::kCacheCodeVersion);
+    auto store = std::make_unique<RecordLog>(state_->config.cache_path);
+    const auto entries = load_result_cache(*store, detail::kCacheCodeVersion);
+    if (write) {
+      LockGuard io(state_->io_mutex);
+      state_->result_log = std::move(store);
+    }
     LockGuard lock(state_->mutex);
     // A read-only service (cache_write = false) never rewrites the file, so
     // stashing unloadable entries for re-persistence would be dead memory.
-    const bool keep_for_rewrite = state_->config.cache_write;
+    const bool keep_for_rewrite = write;
     for (const CacheEntry& e : entries) {
       // Engine gate: a forced-engine service must not warm-start from
       // results another engine trained (processes sharing one cache file
@@ -1320,8 +1428,12 @@ EvalService::EvalService(SessionConfig config)
     state_->foreign_floor = state_->foreign_entries.size();
   }
   if (!state_->config.plan_cache_path.empty()) {
-    auto plans = load_plan_cache(state_->config.plan_cache_path,
-                                 detail::kPlanCacheCodeVersion);
+    auto store = std::make_unique<RecordLog>(state_->config.plan_cache_path);
+    auto plans = load_plan_cache(*store, detail::kPlanCacheCodeVersion);
+    if (write) {
+      LockGuard io(state_->io_mutex);
+      state_->plan_log = std::move(store);
+    }
     {
       LockGuard lock(state_->mutex);
       state_->stats.plans_loaded = plans.size();
@@ -1331,14 +1443,22 @@ EvalService::EvalService(SessionConfig config)
   if (!state_->config.checkpoint_path.empty()) {
     // In-flight checkpoints of a previous (killed or drained) process:
     // submit() seeds matching jobs from these, so they resume mid-training.
-    auto entries = load_checkpoints(state_->config.checkpoint_path,
-                                    detail::kCheckpointCodeVersion);
+    auto store = std::make_unique<RecordLog>(state_->config.checkpoint_path);
+    auto entries = load_checkpoints(*store, detail::kCheckpointCodeVersion);
+    {
+      LockGuard io(state_->io_mutex);
+      state_->checkpoint_log = std::move(store);
+    }
     LockGuard lock(state_->mutex);
     for (TrainingCheckpoint& ck : entries) {
       const std::string key =
           detail::result_key(ck.graph_fp, ck.mixer, ck.p,
                              ck.training_evals) +
           detail::tag_suffix(ck.objective, ck.hamiltonian);
+      // A crash between a completion's result append and its checkpoint
+      // erase leaves the checkpoint of a finished candidate: the cached
+      // result supersedes it, so it is dropped rather than carried forever.
+      if (state_->done_by_key.count(key) > 0) continue;
       state_->checkpoints[key] = std::move(ck);
       ++state_->stats.checkpoints_loaded;
     }
@@ -1353,26 +1473,15 @@ EvalService::~EvalService() {
   state_->stopping.store(true);
   state_->sched_cv.notify_all();
   pool_.raw().wait_idle();
-  // Checkpoints persist even when cache_write is off: they are this
-  // process's own in-flight state, not a shared warm-start file.
-  detail::persist_checkpoints(*state_);
-  // result_cache == 0 never loaded the file (nothing to merge back), so
-  // writing would truncate a shared cache to nothing — leave it alone.
-  const bool write_results = !state_->config.cache_path.empty() &&
-                             state_->config.result_cache > 0;
-  const bool write_plans = !state_->config.plan_cache_path.empty();
-  if (state_->config.cache_write && (write_results || write_plans)) {
-    try {
-      detail::persist_caches(*state_);
-    } catch (const std::exception& e) {
-      log::warn("cache not persisted: ", e.what());
-    }
+  try {
+    detail::compact_stores(*state_);
+  } catch (const std::exception& e) {
+    log::warn("cache not persisted: ", e.what());
   }
 }
 
 std::size_t EvalService::save_cache() const {
-  detail::persist_checkpoints(*state_);
-  return detail::persist_caches(*state_);
+  return detail::compact_stores(*state_);
 }
 
 std::size_t EvalService::drain(double timeout_seconds) {

@@ -33,8 +33,10 @@
 //     exactly once service-wide — probe with sim::program_compile_count() /
 //     qtensor::network_build_count(), see bench/abl_eval_service). With
 //     SessionConfig::cache_path set the cache is loaded from disk at
-//     construction and atomically rewritten at shutdown, so repeated studies
-//     warm-start across processes. Entries record the resolved engine and
+//     construction and compacted back at shutdown (search/store.hpp), so
+//     repeated studies warm-start across processes; with checkpoint_path
+//     set too, every completion is appended to the store's journal before
+//     its ticket resolves. Entries record the resolved engine and
 //     the cache code version: stale-version files invalidate wholesale, and
 //     a forced-engine service only loads entries its own engine produced
 //     (backend=Auto accepts both). Corrupt files are ignored, never fatal,
@@ -314,17 +316,20 @@ class EvalService {
 
   /// Graceful preemption of the whole service: stops dispatching, parks every
   /// running evaluation at its next safe point (checkpoint captured, worker
-  /// freed), cancels what is still queued, then persists checkpoints and
+  /// freed), cancels what is still queued, then compacts checkpoints and
   /// caches via save_cache(). Waits at most `timeout_seconds` for running
   /// slices to reach a safe point. Returns the number of jobs parked. Meant
   /// for signal handlers / shutdown paths: after drain() the service only
   /// serves cache hits — destroy it and build a new one to resume.
   std::size_t drain(double timeout_seconds);
 
-  /// Writes the candidate-result cache to SessionConfig::cache_path (atomic
-  /// tmp-file + rename; no-op when the path is empty). Called automatically
-  /// at destruction when cache_write is set; exposed for mid-run
-  /// checkpointing. Returns the number of entries written.
+  /// Compacts every store this service writes: the result cache at
+  /// SessionConfig::cache_path, the plan cache and the checkpoints — each
+  /// snapshot rewritten atomically from memory merged with what is on disk,
+  /// its journal dropped. The shared caches stay untouched when cache_write
+  /// is off. Called automatically by drain() and at destruction; exposed
+  /// for mid-run checkpointing. Returns the number of result entries
+  /// written (0 without a result store).
   std::size_t save_cache() const;
 
   /// Worker threads in the service pool.

@@ -21,6 +21,9 @@
 //   QARCH_FAULT="failfirst=2"                first 2 attempts of every job fail
 //   QARCH_FAULT="delay=0.01@0.5"             50% of evals sleep 10ms
 //   QARCH_FAULT="crash=checkpoint:3"         _Exit(137) on 3rd checkpoint write
+//   QARCH_FAULT="crash=append:3"             _Exit(137) inside a store append
+//                                            (the point fires before and
+//                                            after each append's fdatasync)
 //   QARCH_FAULT="drop=0.3,seed=7"            qarchd drops 30% of connections
 //
 // The wire-level faults extend the same harness over the qarchd daemon:

@@ -1,17 +1,16 @@
 #include "search/report_io.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "search/store.hpp"
 
 namespace qarch::search {
 
@@ -43,50 +42,6 @@ std::string hex_decode(const std::string& hex) {
   for (std::size_t i = 0; i < hex.size(); i += 2)
     out.push_back(static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
   return out;
-}
-
-// Whole-file-or-nothing JSON publish shared by every persistent cache:
-// write to a unique tmp name (pid + process-wide counter, so concurrent
-// writers — other processes AND other services in this process — never
-// interleave into the same scratch file), fsync BEFORE the rename (a rename
-// only orders metadata: without the data flush a crash right after the
-// publish can leave the DESTINATION pointing at a zero-length or truncated
-// file, exactly what the crash-resume path must never see), then rename so
-// readers see either the old complete file or the new one. Rename failures
-// (e.g. a cross-filesystem cache_path target) surface as errors rather than
-// silently dropping the persist. The directory fsync afterwards makes the
-// rename itself durable; it is best-effort because some filesystems refuse
-// directory fds.
-void atomic_write_json(const json::Value& value, const std::string& path,
-                       const char* what) {
-  static std::atomic<unsigned> save_counter{0};
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) +
-                          "." + std::to_string(save_counter.fetch_add(1));
-  const std::string payload = value.dump(2) + '\n';
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr)
-    throw Error(std::string(what) + ": cannot open " + tmp);
-  bool ok =
-      std::fwrite(payload.data(), 1, payload.size(), out) == payload.size();
-  ok = std::fflush(out) == 0 && ok;
-  ok = ::fsync(::fileno(out)) == 0 && ok;
-  ok = std::fclose(out) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw Error(std::string(what) + ": write failed for " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error(std::string(what) + ": cannot rename " + tmp + " to " + path);
-  }
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dir_fd = ::open(dir.empty() ? "/" : dir.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
 }
 
 }  // namespace
@@ -187,151 +142,260 @@ SearchReport load_report(const std::string& path) {
   return report_from_json(json::parse(buffer.str()));
 }
 
+namespace {
+
+/// Shared shape of the three stores' snapshot documents.
+json::Value store_document(const char* format, const std::string& code_version,
+                           json::Value entries) {
+  json::Value obj = json::Value::object();
+  obj.set("format", format);
+  obj.set("code_version", code_version);
+  obj.set("entries", std::move(entries));
+  return obj;
+}
+
+/// The snapshot's entry list, or nullptr when the document is of another
+/// format or code version (its entries are not comparable).
+const json::Value* snapshot_entries(const json::Value& value,
+                                    const char* format,
+                                    const std::string& code_version) {
+  if (value.type() != json::Value::Type::Object) return nullptr;
+  if (!value.contains("format") || value.at("format").as_string() != format)
+    return nullptr;
+  if (!value.contains("code_version") ||
+      value.at("code_version").as_string() != code_version)
+    return nullptr;
+  if (!value.contains("entries")) return nullptr;
+  return &value.at("entries");
+}
+
+/// A journal record: {"kind", "version", "entry"}.
+json::Value store_record(const char* kind, const std::string& code_version,
+                         json::Value entry) {
+  json::Value obj = json::Value::object();
+  obj.set("kind", kind);
+  obj.set("version", code_version);
+  obj.set("entry", std::move(entry));
+  return obj;
+}
+
+/// The record's entry when it is of `kind` under `code_version` — the
+/// per-record form of the snapshot's version gate — else nullptr.
+const json::Value* record_entry(const json::Value& record, const char* kind,
+                                const std::string& code_version) {
+  try {
+    if (record.at("kind").as_string() != kind ||
+        record.at("version").as_string() != code_version)
+      return nullptr;
+    return &record.at("entry");
+  } catch (const std::exception&) {
+    return nullptr;
+  }
+}
+
+/// Parses every element of `list` with `parse`, skipping mangled ones: one
+/// bad entry must not poison the rest of a warm start.
+template <class T, class Parse>
+std::vector<T> parse_entries(const json::Value& list, Parse parse) {
+  std::vector<T> out;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    try {
+      out.push_back(parse(list.at(i)));
+    } catch (const std::exception&) {
+    }
+  }
+  return out;
+}
+
+json::Value result_entry_to_json(const CacheEntry& e) {
+  json::Value entry = json::Value::object();
+  entry.set("graph_fp", hex_encode(e.graph_fp));
+  entry.set("training_evals", e.training_evals);
+  entry.set("engine", e.engine);
+  // Spec tags are written only when non-default, so files produced by
+  // default-objective runs stay byte-compatible with older readers.
+  if (!e.objective.empty()) entry.set("objective", e.objective);
+  if (!e.hamiltonian.empty()) entry.set("hamiltonian", e.hamiltonian);
+  entry.set("result", candidate_to_json(e.result));
+  return entry;
+}
+
+CacheEntry result_entry_from_json(const json::Value& item) {
+  CacheEntry e;
+  e.graph_fp = hex_decode(item.at("graph_fp").as_string());
+  e.training_evals =
+      static_cast<std::size_t>(item.at("training_evals").as_number());
+  e.engine = item.at("engine").as_string();
+  if (item.contains("objective"))
+    e.objective = item.at("objective").as_string();
+  if (item.contains("hamiltonian"))
+    e.hamiltonian = item.at("hamiltonian").as_string();
+  e.result = candidate_from_json(item.at("result"));
+  return e;
+}
+
+json::Value plan_entry_to_json(const qtensor::CachedPlan& p) {
+  json::Value entry = json::Value::object();
+  entry.set("shape_key", p.shape_key);
+  // 64-bit hashes do not round-trip through JSON doubles; go via string.
+  entry.set("structure_hash", std::to_string(p.structure_hash));
+  entry.set("heuristic", p.heuristic);
+  json::Value order = json::Value::array();
+  for (qtensor::VarId v : p.order) order.push_back(v);
+  entry.set("order", std::move(order));
+  return entry;
+}
+
+qtensor::CachedPlan plan_entry_from_json(const json::Value& item) {
+  qtensor::CachedPlan p;
+  p.shape_key = item.at("shape_key").as_string();
+  p.structure_hash = std::stoull(item.at("structure_hash").as_string());
+  p.heuristic = item.at("heuristic").as_string();
+  const json::Value& order = item.at("order");
+  for (std::size_t k = 0; k < order.size(); ++k)
+    p.order.push_back(static_cast<qtensor::VarId>(order.at(k).as_number()));
+  return p;
+}
+
+std::string plan_identity(const qtensor::CachedPlan& p) {
+  return p.shape_key + '\x1f' + std::to_string(p.structure_hash);
+}
+
+/// Folds a store image into one entry list: the journal's records, newest
+/// first (replaying one identity twice keeps its latest record), then the
+/// snapshot's entries no record superseded.
+template <class T, class FromJson, class Identity>
+std::vector<T> replay(const StoreImage& image, const char* format,
+                      const char* kind, const std::string& code_version,
+                      FromJson from_json, Identity identity) {
+  std::vector<T> out;
+  std::unordered_set<std::string> seen;
+  for (auto it = image.records.rbegin(); it != image.records.rend(); ++it) {
+    const json::Value* entry = record_entry(*it, kind, code_version);
+    if (entry == nullptr) continue;
+    try {
+      T e = from_json(*entry);
+      if (seen.insert(identity(e)).second) out.push_back(std::move(e));
+    } catch (const std::exception&) {
+    }
+  }
+  const json::Value* list =
+      snapshot_entries(image.snapshot, format, code_version);
+  if (list == nullptr) return out;
+  std::vector<T> snapshot = parse_entries<T>(*list, from_json);
+  if (seen.empty()) return snapshot;  // nothing to supersede
+  for (T& e : snapshot)
+    if (seen.insert(identity(e)).second) out.push_back(std::move(e));
+  return out;
+}
+
+}  // namespace
+
+std::string cache_identity(const CacheEntry& e) {
+  std::string id = e.graph_fp;
+  id += '\x1e' + e.result.mixer.to_string() + "@p" +
+        std::to_string(e.result.p) + "@e" + std::to_string(e.training_evals);
+  if (!e.objective.empty()) id += "@o" + e.objective;
+  if (!e.hamiltonian.empty()) id += "@h" + e.hamiltonian;
+  return id + '\x1f' + e.engine;
+}
+
 json::Value result_cache_to_json(const std::vector<CacheEntry>& entries,
                                  const std::string& code_version) {
-  json::Value obj = json::Value::object();
-  obj.set("format", "qarch-result-cache");
-  obj.set("code_version", code_version);
   json::Value list = json::Value::array();
-  for (const CacheEntry& e : entries) {
-    json::Value entry = json::Value::object();
-    entry.set("graph_fp", hex_encode(e.graph_fp));
-    entry.set("training_evals", e.training_evals);
-    entry.set("engine", e.engine);
-    // Spec tags are written only when non-default, so files produced by
-    // default-objective runs stay byte-compatible with older readers.
-    if (!e.objective.empty()) entry.set("objective", e.objective);
-    if (!e.hamiltonian.empty()) entry.set("hamiltonian", e.hamiltonian);
-    entry.set("result", candidate_to_json(e.result));
-    list.push_back(std::move(entry));
-  }
-  obj.set("entries", std::move(list));
-  return obj;
+  for (const CacheEntry& e : entries) list.push_back(result_entry_to_json(e));
+  return store_document("qarch-result-cache", code_version, std::move(list));
 }
 
 std::vector<CacheEntry> result_cache_from_json(
     const json::Value& value, const std::string& code_version) {
-  std::vector<CacheEntry> entries;
-  if (!value.contains("format") ||
-      value.at("format").as_string() != "qarch-result-cache")
-    return entries;
-  if (!value.contains("code_version") ||
-      value.at("code_version").as_string() != code_version)
-    return entries;  // stale semantics: results are not comparable
-  if (!value.contains("entries")) return entries;
-  const json::Value& list = value.at("entries");
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    try {
-      const json::Value& item = list.at(i);
-      CacheEntry e;
-      e.graph_fp = hex_decode(item.at("graph_fp").as_string());
-      e.training_evals = static_cast<std::size_t>(
-          item.at("training_evals").as_number());
-      e.engine = item.at("engine").as_string();
-      if (item.contains("objective"))
-        e.objective = item.at("objective").as_string();
-      if (item.contains("hamiltonian"))
-        e.hamiltonian = item.at("hamiltonian").as_string();
-      e.result = candidate_from_json(item.at("result"));
-      entries.push_back(std::move(e));
-    } catch (const std::exception&) {
-      // One mangled entry must not poison the rest of the warm start.
-    }
-  }
-  return entries;
+  const json::Value* list =
+      snapshot_entries(value, "qarch-result-cache", code_version);
+  if (list == nullptr) return {};  // stale semantics: not comparable
+  return parse_entries<CacheEntry>(*list, result_entry_from_json);
+}
+
+json::Value result_record(const CacheEntry& entry,
+                          const std::string& code_version) {
+  return store_record("result", code_version, result_entry_to_json(entry));
+}
+
+std::vector<CacheEntry> result_cache_from_image(
+    const StoreImage& image, const std::string& code_version) {
+  return replay<CacheEntry>(image, "qarch-result-cache", "result",
+                            code_version, result_entry_from_json,
+                            cache_identity);
 }
 
 void save_result_cache(const std::vector<CacheEntry>& entries,
                        const std::string& path,
                        const std::string& code_version) {
-  atomic_write_json(result_cache_to_json(entries, code_version), path,
-                    "save_result_cache");
+  write_snapshot(result_cache_to_json(entries, code_version), path,
+                 "save_result_cache");
 }
 
-std::vector<CacheEntry> load_result_cache(const std::string& path,
+std::vector<CacheEntry> load_result_cache(RecordLog& store,
                                           const std::string& code_version) {
-  std::ifstream in(path);
-  if (!in) return {};  // no cache yet: every run starts cold once
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return result_cache_from_json(json::parse(buffer.str()), code_version);
-  } catch (const std::exception& e) {
-    log::warn("ignoring corrupt result cache ", path, ": ", e.what());
-    return {};
-  }
+  const StoreImage image = store.load();
+  if (!image.error.empty())
+    log::warn("ignoring corrupt result cache ", store.path(), ": ",
+              image.error);
+  return result_cache_from_image(image, code_version);
+}
+
+std::vector<CacheEntry> load_result_cache(
+    const std::string& path, const std::string& code_version) {
+  RecordLog store(path);
+  return load_result_cache(store, code_version);
 }
 
 json::Value plan_cache_to_json(const std::vector<qtensor::CachedPlan>& plans,
                                const std::string& code_version) {
-  json::Value obj = json::Value::object();
-  obj.set("format", "qarch-plan-cache");
-  obj.set("code_version", code_version);
   json::Value list = json::Value::array();
-  for (const qtensor::CachedPlan& p : plans) {
-    json::Value entry = json::Value::object();
-    entry.set("shape_key", p.shape_key);
-    // 64-bit hashes do not round-trip through JSON doubles; go via string.
-    entry.set("structure_hash", std::to_string(p.structure_hash));
-    entry.set("heuristic", p.heuristic);
-    json::Value order = json::Value::array();
-    for (qtensor::VarId v : p.order) order.push_back(v);
-    entry.set("order", std::move(order));
-    list.push_back(std::move(entry));
-  }
-  obj.set("entries", std::move(list));
-  return obj;
+  for (const qtensor::CachedPlan& p : plans)
+    list.push_back(plan_entry_to_json(p));
+  return store_document("qarch-plan-cache", code_version, std::move(list));
 }
 
 std::vector<qtensor::CachedPlan> plan_cache_from_json(
     const json::Value& value, const std::string& code_version) {
-  std::vector<qtensor::CachedPlan> plans;
-  if (!value.contains("format") ||
-      value.at("format").as_string() != "qarch-plan-cache")
-    return plans;
-  if (!value.contains("code_version") ||
-      value.at("code_version").as_string() != code_version)
-    return plans;  // planner semantics changed: replan rather than trust
-  if (!value.contains("entries")) return plans;
-  const json::Value& list = value.at("entries");
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    try {
-      const json::Value& item = list.at(i);
-      qtensor::CachedPlan p;
-      p.shape_key = item.at("shape_key").as_string();
-      p.structure_hash = std::stoull(item.at("structure_hash").as_string());
-      p.heuristic = item.at("heuristic").as_string();
-      const json::Value& order = item.at("order");
-      for (std::size_t k = 0; k < order.size(); ++k)
-        p.order.push_back(
-            static_cast<qtensor::VarId>(order.at(k).as_number()));
-      plans.push_back(std::move(p));
-    } catch (const std::exception&) {
-      // One mangled entry must not poison the rest of the warm start.
-    }
-  }
-  return plans;
+  const json::Value* list =
+      snapshot_entries(value, "qarch-plan-cache", code_version);
+  if (list == nullptr) return {};  // planner semantics changed: replan
+  return parse_entries<qtensor::CachedPlan>(*list, plan_entry_from_json);
+}
+
+json::Value plan_record(const qtensor::CachedPlan& plan,
+                        const std::string& code_version) {
+  return store_record("plan", code_version, plan_entry_to_json(plan));
+}
+
+std::vector<qtensor::CachedPlan> plan_cache_from_image(
+    const StoreImage& image, const std::string& code_version) {
+  return replay<qtensor::CachedPlan>(image, "qarch-plan-cache", "plan",
+                                     code_version, plan_entry_from_json,
+                                     plan_identity);
 }
 
 void save_plan_cache(const std::vector<qtensor::CachedPlan>& plans,
                      const std::string& path,
                      const std::string& code_version) {
-  atomic_write_json(plan_cache_to_json(plans, code_version), path,
-                    "save_plan_cache");
+  write_snapshot(plan_cache_to_json(plans, code_version), path,
+                 "save_plan_cache");
+}
+
+std::vector<qtensor::CachedPlan> load_plan_cache(RecordLog& store,
+                                          const std::string& code_version) {
+  const StoreImage image = store.load();
+  if (!image.error.empty())
+    log::warn("ignoring corrupt plan cache ", store.path(), ": ", image.error);
+  return plan_cache_from_image(image, code_version);
 }
 
 std::vector<qtensor::CachedPlan> load_plan_cache(
     const std::string& path, const std::string& code_version) {
-  std::ifstream in(path);
-  if (!in) return {};  // no cache yet: the first run plans cold once
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return plan_cache_from_json(json::parse(buffer.str()), code_version);
-  } catch (const std::exception& e) {
-    log::warn("ignoring corrupt plan cache ", path, ": ", e.what());
-    return {};
-  }
+  RecordLog store(path);
+  return load_plan_cache(store, code_version);
 }
 
 namespace {
@@ -401,88 +465,149 @@ optim::OptimState optim_state_from_json(const json::Value& value) {
   return state;
 }
 
+namespace {
+
+json::Value checkpoint_entry_to_json(const TrainingCheckpoint& e,
+                                     bool with_state) {
+  json::Value entry = json::Value::object();
+  entry.set("graph_fp", hex_encode(e.graph_fp));
+  json::Value gates = json::Value::array();
+  for (circuit::GateKind g : e.mixer.gates)
+    gates.push_back(circuit::gate_name(g));
+  entry.set("mixer", std::move(gates));
+  entry.set("p", e.p);
+  entry.set("training_evals", e.training_evals);
+  entry.set("engine", e.engine);
+  if (!e.objective.empty()) entry.set("objective", e.objective);
+  if (!e.hamiltonian.empty()) entry.set("hamiltonian", e.hamiltonian);
+  if (with_state) entry.set("state", optim_state_to_json(e.state));
+  return entry;
+}
+
+TrainingCheckpoint checkpoint_entry_from_json(const json::Value& item,
+                                              bool with_state) {
+  TrainingCheckpoint e;
+  e.graph_fp = hex_decode(item.at("graph_fp").as_string());
+  const json::Value& gates = item.at("mixer");
+  for (std::size_t k = 0; k < gates.size(); ++k)
+    e.mixer.gates.push_back(circuit::gate_from_name(gates.at(k).as_string()));
+  e.p = static_cast<std::size_t>(item.at("p").as_number());
+  e.training_evals =
+      static_cast<std::size_t>(item.at("training_evals").as_number());
+  e.engine = item.at("engine").as_string();
+  if (item.contains("objective"))
+    e.objective = item.at("objective").as_string();
+  if (item.contains("hamiltonian"))
+    e.hamiltonian = item.at("hamiltonian").as_string();
+  if (with_state) e.state = optim_state_from_json(item.at("state"));
+  return e;
+}
+
+TrainingCheckpoint checkpoint_from_json(const json::Value& item) {
+  return checkpoint_entry_from_json(item, true);
+}
+
+/// A checkpoint's candidate identity (one in-flight run per candidate,
+/// whatever engine produced its state).
+std::string checkpoint_identity(const TrainingCheckpoint& e) {
+  std::string id = e.graph_fp;
+  id += '\x1e' + e.mixer.to_string() + "@p" + std::to_string(e.p) + "@e" +
+        std::to_string(e.training_evals);
+  if (!e.objective.empty()) id += "@o" + e.objective;
+  if (!e.hamiltonian.empty()) id += "@h" + e.hamiltonian;
+  return id;
+}
+
+}  // namespace
+
 json::Value checkpoints_to_json(const std::vector<TrainingCheckpoint>& entries,
                                 const std::string& code_version) {
-  json::Value obj = json::Value::object();
-  obj.set("format", "qarch-checkpoints");
-  obj.set("code_version", code_version);
   json::Value list = json::Value::array();
-  for (const TrainingCheckpoint& e : entries) {
-    json::Value entry = json::Value::object();
-    entry.set("graph_fp", hex_encode(e.graph_fp));
-    json::Value gates = json::Value::array();
-    for (circuit::GateKind g : e.mixer.gates)
-      gates.push_back(circuit::gate_name(g));
-    entry.set("mixer", std::move(gates));
-    entry.set("p", e.p);
-    entry.set("training_evals", e.training_evals);
-    entry.set("engine", e.engine);
-    if (!e.objective.empty()) entry.set("objective", e.objective);
-    if (!e.hamiltonian.empty()) entry.set("hamiltonian", e.hamiltonian);
-    entry.set("state", optim_state_to_json(e.state));
-    list.push_back(std::move(entry));
-  }
-  obj.set("entries", std::move(list));
-  return obj;
+  for (const TrainingCheckpoint& e : entries)
+    list.push_back(checkpoint_entry_to_json(e, true));
+  return store_document("qarch-checkpoints", code_version, std::move(list));
 }
 
 std::vector<TrainingCheckpoint> checkpoints_from_json(
     const json::Value& value, const std::string& code_version) {
-  std::vector<TrainingCheckpoint> entries;
-  if (!value.contains("format") ||
-      value.at("format").as_string() != "qarch-checkpoints")
-    return entries;
-  if (!value.contains("code_version") ||
-      value.at("code_version").as_string() != code_version)
-    return entries;  // optimizer internals changed: retrain rather than trust
-  if (!value.contains("entries")) return entries;
-  const json::Value& list = value.at("entries");
-  for (std::size_t i = 0; i < list.size(); ++i) {
+  const json::Value* list =
+      snapshot_entries(value, "qarch-checkpoints", code_version);
+  if (list == nullptr) return {};  // optimizer internals changed: retrain
+  // A mangled checkpoint is skipped; that candidate retrains from scratch.
+  return parse_entries<TrainingCheckpoint>(*list, checkpoint_from_json);
+}
+
+json::Value checkpoint_put_record(const TrainingCheckpoint& entry,
+                                  const std::string& code_version) {
+  return store_record("checkpoint", code_version,
+                      checkpoint_entry_to_json(entry, true));
+}
+
+json::Value checkpoint_erase_record(const TrainingCheckpoint& entry,
+                                    const std::string& code_version) {
+  return store_record("checkpoint-erase", code_version,
+                      checkpoint_entry_to_json(entry, false));
+}
+
+std::vector<TrainingCheckpoint> checkpoints_from_image(
+    const StoreImage& image, const std::string& code_version) {
+  // Puts and erases replay in order over the snapshot's set.
+  std::vector<TrainingCheckpoint> out;
+  std::unordered_map<std::string, std::size_t> index;
+  const auto put = [&](TrainingCheckpoint e) {
+    const std::string id = checkpoint_identity(e);
+    if (const auto it = index.find(id); it != index.end()) {
+      out[it->second] = std::move(e);
+    } else {
+      index.emplace(id, out.size());
+      out.push_back(std::move(e));
+    }
+  };
+  for (TrainingCheckpoint& e :
+       checkpoints_from_json(image.snapshot, code_version))
+    put(std::move(e));
+  std::unordered_set<std::string> erased;
+  for (const json::Value& record : image.records) {
     try {
-      const json::Value& item = list.at(i);
-      TrainingCheckpoint e;
-      e.graph_fp = hex_decode(item.at("graph_fp").as_string());
-      const json::Value& gates = item.at("mixer");
-      for (std::size_t k = 0; k < gates.size(); ++k)
-        e.mixer.gates.push_back(
-            circuit::gate_from_name(gates.at(k).as_string()));
-      e.p = static_cast<std::size_t>(item.at("p").as_number());
-      e.training_evals =
-          static_cast<std::size_t>(item.at("training_evals").as_number());
-      e.engine = item.at("engine").as_string();
-      if (item.contains("objective"))
-        e.objective = item.at("objective").as_string();
-      if (item.contains("hamiltonian"))
-        e.hamiltonian = item.at("hamiltonian").as_string();
-      e.state = optim_state_from_json(item.at("state"));
-      entries.push_back(std::move(e));
+      if (const json::Value* entry =
+              record_entry(record, "checkpoint", code_version)) {
+        TrainingCheckpoint e = checkpoint_entry_from_json(*entry, true);
+        erased.erase(checkpoint_identity(e));
+        put(std::move(e));
+      } else if (const json::Value* gone = record_entry(
+                     record, "checkpoint-erase", code_version)) {
+        erased.insert(
+            checkpoint_identity(checkpoint_entry_from_json(*gone, false)));
+      }
     } catch (const std::exception&) {
-      // One mangled checkpoint must not poison the rest; the affected
-      // candidate simply retrains from scratch.
     }
   }
-  return entries;
+  std::vector<TrainingCheckpoint> live;
+  for (TrainingCheckpoint& e : out)
+    if (erased.count(checkpoint_identity(e)) == 0) live.push_back(std::move(e));
+  return live;
 }
 
 void save_checkpoints(const std::vector<TrainingCheckpoint>& entries,
                       const std::string& path,
                       const std::string& code_version) {
-  atomic_write_json(checkpoints_to_json(entries, code_version), path,
-                    "save_checkpoints");
+  write_snapshot(checkpoints_to_json(entries, code_version), path,
+                 "save_checkpoints");
+}
+
+std::vector<TrainingCheckpoint> load_checkpoints(RecordLog& store,
+                                          const std::string& code_version) {
+  const StoreImage image = store.load();
+  if (!image.error.empty())
+    log::warn("ignoring corrupt checkpoint file ", store.path(), ": ",
+              image.error);
+  return checkpoints_from_image(image, code_version);
 }
 
 std::vector<TrainingCheckpoint> load_checkpoints(
     const std::string& path, const std::string& code_version) {
-  std::ifstream in(path);
-  if (!in) return {};  // no checkpoints yet: nothing was in flight
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return checkpoints_from_json(json::parse(buffer.str()), code_version);
-  } catch (const std::exception& e) {
-    log::warn("ignoring corrupt checkpoint file ", path, ": ", e.what());
-    return {};
-  }
+  RecordLog store(path);
+  return load_checkpoints(store, code_version);
 }
 
 }  // namespace qarch::search

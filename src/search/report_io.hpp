@@ -11,6 +11,7 @@
 #include "optim/optimizer.hpp"
 #include "qtensor/plan_cache.hpp"
 #include "search/engine.hpp"
+#include "search/store.hpp"
 
 namespace qarch::search {
 
@@ -47,6 +48,11 @@ struct CacheEntry {
   CandidateResult result;
 };
 
+/// Identity of a persisted entry: the candidate key (graph, mixer, p,
+/// budget, objective/Hamiltonian tags) plus the engine that produced it —
+/// one candidate may have an sv and a tn twin in one file.
+std::string cache_identity(const CacheEntry& entry);
+
 /// Serializes cache entries under the given cache code version.
 json::Value result_cache_to_json(const std::vector<CacheEntry>& entries,
                                  const std::string& code_version);
@@ -57,21 +63,38 @@ json::Value result_cache_to_json(const std::vector<CacheEntry>& entries,
 std::vector<CacheEntry> result_cache_from_json(const json::Value& value,
                                                const std::string& code_version);
 
-/// Atomically rewrites `path` (tmp file + rename) with the given entries.
+/// The journal record of one result-cache upsert (store.hpp).
+json::Value result_record(const CacheEntry& entry,
+                          const std::string& code_version);
+
+/// A store image's entries: the snapshot's (gated by code version as a
+/// whole) with the journal's records replayed on top (gated per record).
+/// Journal entries come first, newest first, like the service's LRU order.
+std::vector<CacheEntry> result_cache_from_image(
+    const StoreImage& image, const std::string& code_version);
+
+/// Atomically rewrites `path` (tmp file + rename) with the given entries,
+/// under a fresh generation (so any journal beside it no longer applies).
 /// Throws Error when the file cannot be written.
 void save_result_cache(const std::vector<CacheEntry>& entries,
                        const std::string& path,
                        const std::string& code_version);
 
-/// Loads a cache file. Corruption-tolerant: a missing, unparsable, or
-/// version-mismatched file yields an empty vector (warm starts are an
-/// optimization, never a correctness requirement).
+/// Loads a cache: the snapshot plus the valid records of its journal.
+/// Corruption-tolerant: a missing, unparsable, or version-mismatched
+/// snapshot yields no snapshot entries, and a torn journal tail ends the
+/// replay (warm starts are an optimization, never a correctness
+/// requirement).
 std::vector<CacheEntry> load_result_cache(const std::string& path,
+                                          const std::string& code_version);
+/// The same through a caller's RecordLog, which then knows the generation
+/// it extends without re-reading the snapshot.
+std::vector<CacheEntry> load_result_cache(RecordLog& log,
                                           const std::string& code_version);
 
 // -- persistent contraction-plan cache ----------------------------------------
 //
-// Same file discipline as the result cache — atomic tmp+rename writes,
+// Same file discipline as the result cache — snapshot + journal,
 // corruption-tolerant version-gated loads — but for qtensor planning
 // decisions: (lightcone shape key, network structure hash) -> elimination
 // order. Reloading an order is sound regardless of tensor data; the guard
@@ -87,22 +110,33 @@ json::Value plan_cache_to_json(const std::vector<qtensor::CachedPlan>& plans,
 std::vector<qtensor::CachedPlan> plan_cache_from_json(
     const json::Value& value, const std::string& code_version);
 
+/// The journal record of one plan-cache upsert.
+json::Value plan_record(const qtensor::CachedPlan& plan,
+                        const std::string& code_version);
+
+/// A store image's plans (snapshot + journal upserts).
+std::vector<qtensor::CachedPlan> plan_cache_from_image(
+    const StoreImage& image, const std::string& code_version);
+
 /// Atomically rewrites `path` (tmp file + rename) with the given plans.
 void save_plan_cache(const std::vector<qtensor::CachedPlan>& plans,
                      const std::string& path, const std::string& code_version);
 
-/// Loads a plan-cache file; missing/corrupt/mismatched files yield {}.
+/// Loads a plan cache (snapshot + journal); missing/corrupt/mismatched
+/// snapshots yield no snapshot entries.
 std::vector<qtensor::CachedPlan> load_plan_cache(
     const std::string& path, const std::string& code_version);
+std::vector<qtensor::CachedPlan> load_plan_cache(
+    RecordLog& log, const std::string& code_version);
 
 // -- in-flight training checkpoints -------------------------------------------
 //
-// Same file discipline again (atomic fsync'd tmp+rename, version-gated,
+// Same file discipline again (snapshot + journal, version-gated,
 // corruption-tolerant load) for the evaluation service's in-flight training
 // checkpoints: a killed process restarted on the same checkpoint_path
 // resumes every parked/running candidate mid-training instead of from
-// step 0. A checkpoint is tiny — theta-sized vectors plus optimizer
-// counters — so persisting on every capture is cheap.
+// step 0. Every capture appends one put record; a completion appends an
+// erase.
 
 /// Serializes an opaque optimizer state. Doubles round-trip bit-exactly
 /// (%.17g); non-finite values (e.g. an untouched +inf incumbent) and 64-bit
@@ -135,13 +169,28 @@ json::Value checkpoints_to_json(const std::vector<TrainingCheckpoint>& entries,
 std::vector<TrainingCheckpoint> checkpoints_from_json(
     const json::Value& value, const std::string& code_version);
 
+/// Journal records of one checkpoint capture and of its removal (the erase
+/// carries the candidate key only).
+json::Value checkpoint_put_record(const TrainingCheckpoint& entry,
+                                  const std::string& code_version);
+json::Value checkpoint_erase_record(const TrainingCheckpoint& entry,
+                                    const std::string& code_version);
+
+/// A store image's live checkpoints: puts and erases replayed in order over
+/// the snapshot's set.
+std::vector<TrainingCheckpoint> checkpoints_from_image(
+    const StoreImage& image, const std::string& code_version);
+
 /// Atomically rewrites `path` with the given checkpoints.
 void save_checkpoints(const std::vector<TrainingCheckpoint>& entries,
                       const std::string& path,
                       const std::string& code_version);
 
-/// Loads a checkpoint file; missing/corrupt/mismatched files yield {}.
+/// Loads checkpoints (snapshot + journal); missing/corrupt/mismatched
+/// snapshots yield no snapshot entries.
 std::vector<TrainingCheckpoint> load_checkpoints(
     const std::string& path, const std::string& code_version);
+std::vector<TrainingCheckpoint> load_checkpoints(
+    RecordLog& log, const std::string& code_version);
 
 }  // namespace qarch::search

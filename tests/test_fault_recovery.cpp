@@ -1,9 +1,10 @@
 // Fault-tolerance tests: the QARCH_FAULT grammar, retry-with-backoff, the
 // deadline/timeout surface, drain/park/resume across service instances on a
-// shared checkpoint file, checkpoint-file corruption tolerance, and a real
-// fork()-based kill-and-resume (a worker crashes mid-training with
-// _Exit(137); a fresh process restarted on the same paths finishes the run
-// bit-identically).
+// shared checkpoint file, checkpoint-file corruption tolerance, and real
+// fork()-based kill-and-resume runs (a worker crashes mid-training with
+// _Exit(137), a process dies right after a ticket resolved, or one dies at
+// any record boundary of a store append; a fresh process restarted on the
+// same paths finishes the run bit-identically).
 //
 // NOTE: this file is intentionally NOT named test_eval_service / test_parallel
 // — the TSan CI leg filters to those, and fork() under TSan is unsupported.
@@ -22,10 +23,12 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "search/alphabet.hpp"
 #include "search/combinations.hpp"
 #include "search/eval_service.hpp"
 #include "search/fault.hpp"
 #include "search/report_io.hpp"
+#include "search/store.hpp"
 #include "session.hpp"
 
 namespace {
@@ -402,6 +405,132 @@ TEST(FaultRecovery, KillMidRunThenResumeAcrossProcesses) {
   EXPECT_EQ(stats.checkpoints_discarded, 0u);
   EXPECT_EQ(stats.completed, 1u);
   std::remove(ckpt.c_str());
+}
+
+/// Removes a store's snapshot and its journal.
+void remove_store(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove(search::journal_path(path).c_str());
+}
+
+SessionConfig durable_session(const std::string& cache,
+                              const std::string& ckpt) {
+  SessionConfig session = fast_session();
+  session.workers = 1;
+  session.cache_path = cache;
+  session.checkpoint_path = ckpt;
+  return session;
+}
+
+// A ticket resolves only once its result is durable: a process that dies
+// the instant its wait() returns has already persisted the result, and a
+// restart on the same paths serves the candidate from the cache.
+TEST(FaultRecovery, ResolvedTicketSurvivesAnImmediateCrash) {
+  const auto g = test_graph(53);
+  const std::string cache = temp_path("resolved_cache.json");
+  const std::string ckpt = temp_path("resolved_ckpt.json");
+
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    try {
+      search::EvalService service(durable_session(cache, ckpt));
+      (void)service.submit(g, qaoa::MixerSpec::qnas(), 1).wait();
+      std::_Exit(0);  // the crash: no destructor, no shutdown flush
+    } catch (...) {
+      std::_Exit(42);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  {
+    search::EvalService service(durable_session(cache, ckpt));
+    EXPECT_EQ(service.stats().cache_loaded, 1u);
+    auto ticket = service.submit(g, qaoa::MixerSpec::qnas(), 1);
+    (void)ticket.wait();
+    EXPECT_TRUE(ticket.cache_hit());
+    EXPECT_EQ(service.stats().completed, 0u);
+  }  // its shutdown compaction writes the stores once more
+  remove_store(cache);
+  remove_store(ckpt);
+}
+
+// Crash inside a store append — before and after the fdatasync of every
+// record of a small durable study, k = 1..K — then restart on the same
+// paths: the store loads, holds a prefix of the completed results (in
+// completion order), and the study finishes bit-identical to a clean run.
+TEST(FaultRecovery, CrashAtEveryAppendBoundaryResumesBitIdentically) {
+  const auto g = test_graph(59);
+  const std::string cache = temp_path("append_cache.json");
+  const std::string ckpt = temp_path("append_ckpt.json");
+  const auto mixers = search::all_combinations(
+      search::GateAlphabet::standard(), 1, search::CombinationMode::Product);
+  ASSERT_GE(mixers.size(), 3u);
+  const std::vector<qaoa::MixerSpec> study(mixers.begin(), mixers.begin() + 3);
+  const auto durable = [&] {
+    SessionConfig session = durable_session(cache, ckpt);
+    session.checkpoint_evals = 10;  // two cadence checkpoints per candidate
+    return session;
+  };
+  std::vector<search::CandidateResult> expected;
+  {
+    search::EvalService reference(fast_session());
+    expected = reference.collect(reference.submit_batch(g, study, 1));
+  }
+
+  std::size_t k = 1;
+  for (;; ++k) {
+    ASSERT_LT(k, 200u) << "the study never finished uncrashed";
+    remove_store(cache);
+    remove_store(ckpt);
+    const pid_t pid = fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+      try {
+        search::FaultPlan plan;
+        plan.crash_point = "append";
+        plan.crash_after = k;
+        search::FaultInjector::instance().configure(plan);
+        search::EvalService service(durable());
+        (void)service.collect(service.submit_batch(g, study, 1));
+        std::_Exit(0);
+      } catch (...) {
+        std::_Exit(42);
+      }
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    if (WEXITSTATUS(status) == 0) break;  // k passed the study's last append
+    ASSERT_EQ(WEXITSTATUS(status), 137) << "crash point " << k;
+
+    search::EvalService service(durable());
+    const std::size_t loaded = service.stats().cache_loaded;
+    std::vector<search::EvalTicket> tickets;
+    for (std::size_t i = 0; i < study.size(); ++i) {
+      tickets.push_back(service.submit(g, study[i], 1));
+      EXPECT_EQ(tickets.back().cache_hit(), i < loaded)
+          << "crash point " << k << ": not a prefix of the completions";
+    }
+    const auto results = service.collect(tickets);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].energy, expected[i].energy) << "crash point " << k;
+      EXPECT_EQ(results[i].ratio, expected[i].ratio);
+      EXPECT_EQ(results[i].sampled_ratio, expected[i].sampled_ratio);
+      EXPECT_EQ(results[i].theta, expected[i].theta);
+      EXPECT_EQ(results[i].evaluations, expected[i].evaluations);
+    }
+    EXPECT_EQ(service.stats().checkpoints_discarded, 0u);
+  }
+  // Each candidate appends cadence checkpoints and a result; the point
+  // fires twice per append.
+  EXPECT_GE(k - 1, 2 * study.size() * 2);
+  remove_store(cache);
+  remove_store(ckpt);
 }
 
 }  // namespace

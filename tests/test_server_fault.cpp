@@ -203,7 +203,11 @@ TEST(QarchServerFault, MidResponseKillThenRestartConverges) {
       config.tenants = {TenantSpec{.name = "t", .api_key = "k"}};
       QarchServer daemon(config);
       daemon.start();
-      { std::ofstream(port_file) << daemon.port(); }
+      // Published by rename, so the parent (polling for the file) never
+      // reads it created but still empty.
+      const std::string staged = std::string(port_file) + ".tmp";
+      { std::ofstream(staged) << daemon.port(); }
+      std::rename(staged.c_str(), port_file);
       while (!std::ifstream(done_file).good())
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       daemon.stop(10.0);

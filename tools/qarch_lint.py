@@ -25,6 +25,10 @@ where it CAN see) with grep-level rules for what it cannot:
       without also being accepted by the reject filter.
   R6  no file under src/qtensor/ includes a query/ header — the query
       layers sit on top of the contraction engine, never below it.
+  R7  fsync / fdatasync / std::rename / O_APPEND appear only in
+      src/search/store.cpp and src/search/report_io.cpp — durable writes go
+      through the one snapshot + journal store (search/store.hpp), so its
+      crash-safety argument covers every file the service persists.
 
 Usage: python3 tools/qarch_lint.py [--root DIR]
 Exits nonzero if any rule fires; prints one line per violation.
@@ -56,6 +60,8 @@ R3_TOKEN = re.compile(r"\.detach\s*\(")
 R4_TOKEN = re.compile(r"\bsleep_(?:for|until)\s*\(")
 R4_SANCTIONED = "src/search/fault.cpp"
 R6_TOKEN = re.compile(r'^\s*#\s*include\s*"query/')
+R7_TOKEN = re.compile(r"\b(?:fsync|fdatasync|O_APPEND)\b|std::rename\b")
+R7_ALLOWED = {"src/search/store.cpp", "src/search/report_io.cpp"}
 
 KNOWN_ARRAY = re.compile(
     r"kKnown\s*=\s*\{(.*?)\}\s*;", re.DOTALL)
@@ -122,6 +128,12 @@ def scan(root):
                 flag(rel, lineno, "R6",
                      "src/qtensor/ must not include query/ headers; the "
                      "query layers build on qtensor, not the reverse")
+            m = R7_TOKEN.search(line)
+            if m and rel not in R7_ALLOWED:
+                flag(rel, lineno, "R7",
+                     "%s outside the durable store; persist through "
+                     "search/store.hpp (RecordLog / write_snapshot)"
+                     % m.group(0))
 
     server_cpp = os.path.join(root, "src", "server", "server.cpp")
     if os.path.exists(server_cpp):
@@ -155,6 +167,7 @@ def self_test():
             "t.detach();\n"
             "std::this_thread::sleep_for(std::chrono::seconds(1));\n"
             "// std::mutex in a comment is fine\n"
+            "::fdatasync(fd);\n"
         ),
         "src/qtensor/bad.cpp": '#include "query/program.hpp"\n',
     }
@@ -166,7 +179,7 @@ def self_test():
                 f.write(text)
         _, violations = scan(tmp)
     rules = {v.split("[")[1][:2] for v in violations}
-    expected = {"R1", "R2", "R3", "R4", "R6"}
+    expected = {"R1", "R2", "R3", "R4", "R6", "R7"}
     if not expected <= rules:
         print("self-test FAILED: expected rules %s, got %s"
               % (sorted(expected), sorted(rules)), file=sys.stderr)
